@@ -22,8 +22,6 @@ from .meanfield import (
 )
 from .numerics import (
     QuadratureSpec,
-    RootSet,
-    find_all_roots,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -62,6 +60,7 @@ from .variational import (
     LyapunovResult,
     ModelParams,
     OptimizerProfile,
+    RootSet,
     big_F,
     big_F_scan,
     correction_integral,
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "BudgetError", "DomainError", "EvaluationError",
     "NumericsError",
-    "QuadratureSpec", "RootSet", "find_all_roots", "integrate_adaptive",
+    "QuadratureSpec", "RootSet", "integrate_adaptive",
     "integrate_inverse_sqrt_singularity", "inverse_softplus", "polylog",
     "softplus", "softplus_diff",
     "ModelParams", "Branch", "LyapunovResult", "OptimizerProfile",

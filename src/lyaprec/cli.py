@@ -56,6 +56,15 @@ __all__ = ["RunConfig", "main", "main_entry"]
 SCHEMA_VERSION = "1"
 THREADS_ENV_VAR = "LYAPREC_THREADS"
 
+# the flat-profile critical-point finder: its level curve diverges at
+# a -> 0+ and a -> 1-, so the search and its stencil stay inside (0, 1)
+_MF_FINDER = {
+    "beta_level": mf_beta_level,
+    "d_map": lambda a, rho, beta: a,
+    "a_domain": lambda rho: (0.02, 0.98),
+    "fd_step": 0.005,
+}
+
 # these commands emit a single JSON record; csv has no sensible layout
 _JSON_ONLY = frozenset({"simulate", "critical", "exponent", "appendixb"})
 
@@ -418,13 +427,7 @@ def _run_critical(rc):
     if not (0 < bracket[0] < bracket[1]):
         raise DomainError("need 0 < rho_lo < rho_hi")
     if model == "meanfield":
-        crit = locate_critical_point(
-            beta_level=mf_beta_level,
-            d_map=lambda a, rho, beta: a,
-            a_domain=lambda rho: (0.02, 0.98),
-            rho_bracket=bracket,
-            fd_step=0.005,
-        )
+        crit = locate_critical_point(rho_bracket=bracket, **_MF_FINDER)
     else:
         crit = locate_critical_point(rho_bracket=bracket)
     return _emit_record(rc, {
@@ -513,13 +516,7 @@ def _run_exponent(rc):
         raise DomainError("need at least 3 points for a fit")
     model = rc.options["model"]
     if model == "meanfield":
-        crit = locate_critical_point(
-            beta_level=mf_beta_level,
-            d_map=lambda a, rho, beta: a,
-            a_domain=lambda rho: (0.02, 0.98),
-            rho_bracket=(0.05, 0.3),
-            fd_step=0.005,
-        )
+        crit = locate_critical_point(**_MF_FINDER)
         from .phase import PhaseCurvePoint
 
         pts = []

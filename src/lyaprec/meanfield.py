@@ -8,6 +8,8 @@ log(rho) = -(2/3)*beta*a + log(a/(1-a)). The structure is the standard
 double-well one: a single stationary point for beta <= 6, up to three
 beyond, a first-order switch across the curve beta = -3*log(rho), and a
 gap equation delta = tanh(beta*delta/6) for the coexisting branches.
+Stationarity is solved on its monotone pieces, which end at the
+closed-form folds logit(a) = +-2*atanh(sqrt(1 - 6/beta)), beta > 6.
 """
 from __future__ import annotations
 
@@ -15,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DomainError
-from .numerics import find_all_roots
+from .numerics import _refine_bracket, softplus
 
 __all__ = [
     "MeanFieldResult",
@@ -68,26 +71,36 @@ def mf_lambda(params):
     Finds every stationary occupation, then selects per the sign of
     log(rho) + beta/3: above the curve the high branch wins, below it
     the low one; exactly on it the branches tie and the high one is
-    reported.
+    reported. beta = 0 gives exactly a = rho/(1+rho), log(1+rho).
     """
     rho, beta = params.rho, params.beta
     lr = math.log(rho)
+    if beta == 0.0:
+        return MeanFieldResult(rho / (1.0 + rho), None, None, math.log1p(rho), None)
 
-    def g(a):
-        a = np.asarray(a, dtype=float)
-        return np.log(a / (1.0 - a)) - (2.0 / 3.0) * beta * a - lr
+    # stationarity in t = logit(a) - log(rho), whose roots lie in
+    # [0, 2*beta/3]; unlike logit(a), t keeps its sign for tiny beta
+    def g(t):
+        return t - (2.0 / 3.0) * beta * float(expit(t + lr))
 
-    lo = min(1e-9, rho * 1e-3)
-    roots = find_all_roots(g, lo, 1.0 - 1e-9, grid_points=4096, tol=1e-12).roots
-    if not roots:
-        raise DomainError("no stationary occupation found; rho out of range")
+    cuts = [0.0, 2.0 * beta / 3.0]
+    if beta > 6.0:
+        x_fold = 2.0 * math.atanh(math.sqrt(1.0 - 6.0 / beta))
+        cuts[1:1] = [min(max(x - lr, 0.0), cuts[-1]) for x in (-x_fold, x_fold)]
+    g_cuts = [g(t) for t in cuts]
+    roots = []
+    for lo, hi, g_lo, g_hi in zip(cuts, cuts[1:], g_cuts, g_cuts[1:]):
+        if lo < hi and min(g_lo, g_hi) <= 0.0 <= max(g_lo, g_hi):
+            roots.append(_refine_bracket(g, lo, hi, g_lo, g_hi, 1e-12) + lr)
     a1 = a2 = None
     if len(roots) == 1:
-        a_star = roots[0]
+        x_star = roots[0]
     else:
-        a1, a2 = roots[0], roots[-1]
-        a_star = a2 if lr >= -beta / 3.0 else a1
-    lambda_bar = -(beta / 3.0) * a_star * a_star - math.log1p(-a_star)
+        x1, x2 = roots[0], roots[-1]
+        a1, a2 = float(expit(x1)), float(expit(x2))
+        x_star = x2 if lr >= -beta / 3.0 else x1
+    a_star = float(expit(x_star))
+    lambda_bar = -(beta / 3.0) * a_star * a_star + float(softplus(x_star))
     return MeanFieldResult(
         a_star=a_star,
         branch_a1=a1,

@@ -2,13 +2,13 @@
 
 Three families of tools live here: adaptive panel quadrature with an
 exact substitution for integrands that blow up like 1/sqrt(y) at the
-left endpoint, real polylogarithms of order 2 and 3, and grid-based
-bracketing of all roots of a scalar function. Everything is a pure
-function; there is no shared mutable state, so concurrent use is safe.
+left endpoint, real polylogarithms of order 2 and 3, and a refiner for
+a root bracketed on a monotone piece, which each caller names itself.
+Everything is a pure function; there is no shared mutable state, so
+concurrent use is safe.
 
-Integrands passed to the quadrature routines should accept numpy
-arrays; scalar-only callables are tolerated (they get wrapped) but are
-much slower.
+Integrands passed to the quadrature routines must accept numpy arrays
+and return an array of the same shape.
 """
 from __future__ import annotations
 
@@ -22,13 +22,11 @@ from .errors import AccuracyError, DomainError, EvaluationError, NumericsError
 
 __all__ = [
     "QuadratureSpec",
-    "RootSet",
     "DEFAULT_QUADRATURE",
     "ACCURATE_QUADRATURE",
     "integrate_adaptive",
     "integrate_inverse_sqrt_singularity",
     "polylog",
-    "find_all_roots",
     "softplus",
     "inverse_softplus",
     "softplus_diff",
@@ -61,25 +59,6 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 ACCURATE_QUADRATURE = QuadratureSpec(1e-12, 1e-14, 60)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """All roots found on a scan interval, each with its sign-change bracket."""
-
-    roots: list
-    brackets: list
-
-
-def _eval_array(f, x):
-    """Evaluate f on array x, wrapping scalar-only callables."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.vectorize(f, otypes=[float])(x)
-
-
 def integrate_adaptive(f, lo, hi, spec=None):
     """Integrate a smooth vectorized integrand over [lo, hi].
 
@@ -104,8 +83,8 @@ def integrate_adaptive(f, lo, hi, spec=None):
         half = 0.5 * (his - los)
         x7 = mid[:, None] + half[:, None] * _NODES7
         x15 = mid[:, None] + half[:, None] * _NODES15
-        y7 = _eval_array(f, x7)
-        y15 = _eval_array(f, x15)
+        y7 = np.asarray(f(x7), dtype=float)
+        y15 = np.asarray(f(x15), dtype=float)
         if not np.isfinite(y15).all():
             bad = np.argwhere(~np.isfinite(y15))[0]
             raise EvaluationError(
@@ -269,45 +248,6 @@ def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
                 "bracket collapsed at x=%r with residual %r > tol" % (best, fbest)
             )
     raise NumericsError("root refinement did not reach |f| <= tol")
-
-
-def find_all_roots(f, lo, hi, grid_points=512, tol=1e-10):
-    """Locate every root of f on [lo, hi].
-
-    A uniform grid is scanned for sign changes; each change is refined
-    by the safeguarded secant/bisection hybrid until the residual |f|
-    drops below tol. Exact zeros landing on grid nodes are kept as is.
-    f is evaluated on the whole grid at once when it supports arrays,
-    so an array-aware f can use a cheaper formula for the scan than for
-    the scalar refinement calls.
-    """
-    if not lo < hi:
-        raise DomainError("find_all_roots needs lo < hi")
-    if grid_points < 2:
-        raise DomainError("grid_points must be >= 2")
-    grid = np.linspace(lo, hi, grid_points)
-    vals = _eval_array(f, grid)
-    if not np.isfinite(vals).all():
-        i = int(np.argmax(~np.isfinite(vals)))
-        raise EvaluationError(
-            "scan value is non-finite at x=%r" % float(grid[i]),
-            abscissa=float(grid[i]),
-        )
-    step = grid[1] - grid[0]
-    found = []
-    for i in np.flatnonzero(vals == 0.0):
-        x = float(grid[i])
-        found.append((x, (max(lo, x - step), min(hi, x + step))))
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        root = _refine_bracket(f, a, b, fa, fb, tol)
-        found.append((root, (a, b)))
-    found.sort(key=lambda item: item[0])
-    return RootSet(
-        roots=[r for r, _ in found],
-        brackets=[br for _, br in found],
-    )
 
 
 def softplus(x):

@@ -23,6 +23,7 @@ from .errors import DomainError, NumericsError
 from .numerics import inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
+    _fold,
     big_F,
     big_F_scan,
     correction_integral,
@@ -260,7 +261,7 @@ def locate_critical_point(
     )
 
 
-def _extrema_window(rho, expand_limit=40):
+def _extrema_window(rho):
     """Local max/min pair of the boundary function, or None if monotone.
 
     Returns (a_hump, a_dip, beta_lo, beta_hi): three branches exist
@@ -270,7 +271,7 @@ def _extrema_window(rho, expand_limit=40):
     """
     lr = math.log(rho)
     hi = lr + 12.0
-    for _ in range(expand_limit):
+    for _ in range(40):
         a = np.linspace(lr, hi, 2048)
         Fv = big_F_scan(a, rho)
         desc = np.diff(Fv) < 0
@@ -286,20 +287,8 @@ def _extrema_window(rho, expand_limit=40):
         return None
     if j < i:
         return None
-    res_max = minimize_scalar(
-        lambda x: -big_F(x, rho),
-        bounds=(float(a[max(i - 1, 0)]), float(a[i + 1])),
-        method="bounded",
-        options={"xatol": 1e-11},
-    )
-    res_min = minimize_scalar(
-        lambda x: big_F(x, rho),
-        bounds=(float(a[j]), float(a[min(j + 2, len(a) - 1)])),
-        method="bounded",
-        options={"xatol": 1e-11},
-    )
-    a_hump, f_hump = float(res_max.x), float(-res_max.fun)
-    a_dip, f_dip = float(res_min.x), float(res_min.fun)
+    a_hump, f_hump = _fold(rho, float(a[max(i - 1, 0)]), float(a[i + 1]), 1)
+    a_dip, f_dip = _fold(rho, float(a[j]), float(a[min(j + 2, len(a) - 1)]), -1)
     if not (a_hump < a_dip and f_hump > f_dip):
         return None
     return a_hump, a_dip, 0.25 * f_dip ** 2, 0.25 * f_hump ** 2

@@ -10,6 +10,9 @@ logit h(1), written a below. Stationarity reduces to the scalar
 equation big_F(a; rho) = 2*sqrt(beta), each solution is one branch, and
 the growth rate is the largest branch value.
 
+For each rho, big_F has at most one hump and one dip, so at most three
+monotone pieces, each holding at most one root.
+
 Everything downstream (phase structure, jump fits, simulators) builds
 on the operations here.
 """
@@ -19,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import expit, xlogy
 
 from .errors import DomainError
@@ -26,7 +30,7 @@ from .numerics import (
     ACCURATE_QUADRATURE,
     _NODES15,
     _WEIGHTS15,
-    find_all_roots,
+    _refine_bracket,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -39,6 +43,7 @@ __all__ = [
     "Branch",
     "LyapunovResult",
     "OptimizerProfile",
+    "RootSet",
     "entropy_I",
     "big_F",
     "big_F_scan",
@@ -108,6 +113,16 @@ class OptimizerProfile:
     energy: float
 
 
+@dataclass(frozen=True)
+class RootSet:
+    """Stationary boundary logits in increasing order, each with the
+    bracket it was refined from: a scan cell, or the part of a cell pair
+    on one side of a fold."""
+
+    roots: list
+    brackets: list
+
+
 def entropy_I(x):
     """Binary entropy-type cost x log x + (1-x) log(1-x), zero at both ends."""
     arr = np.asarray(x, dtype=float)
@@ -174,30 +189,68 @@ def big_F_scan(a_values, rho):
     return 2.0 * np.sqrt(L) * (_SCAN_W / den).sum(axis=1)
 
 
-def solve_h1(params, grid_points=512, tol=1e-10):
+def _fold(rho, lo, hi, sign):
+    """Logit and adaptive big_F value of the hump (sign=+1) or dip
+    (sign=-1) of big_F inside (lo, hi), by bounded Brent."""
+    res = minimize_scalar(
+        lambda x: -sign * big_F(x, rho),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-11},
+    )
+    return float(res.x), -sign * float(res.fun)
+
+
+def solve_h1(params):
     """All stationary boundary logits at (rho, beta), beta > 0.
 
     Every root of big_F = 2*sqrt(beta) satisfies
     log((1+e^a)/(1+rho)) <= beta because big_F >= 2*sqrt(L); the scan
     interval [log rho, a_sup] with softplus(a_sup) = beta + log(1+rho)
     therefore provably contains all of them, and big_F(a_sup) sits
-    strictly above the target. The grid scan uses the fast fixed rule;
-    bracket refinement re-evaluates with the adaptive integrator.
+    strictly above the target. A 512-point fixed-rule scan brackets
+    each sign change. Two roots next to a fold may share a scan cell,
+    so a scan hump or dip short of the target is polished when its
+    parabola may reach the target; if the fold crosses it, the cell
+    pair is split there, one bracket per monotone piece. Brackets are
+    refined with the adaptive big_F, starting from the scan values.
     """
     if not params.beta > 0:
         raise DomainError("solve_h1 needs beta > 0")
     rho = params.rho
     target = 2.0 * math.sqrt(params.beta)
-    lr = math.log(rho)
     a_sup = float(inverse_softplus(params.beta + math.log1p(rho)))
+    grid = np.linspace(math.log(rho), a_sup, 512)
+    vals = big_F_scan(grid, rho) - target
+    neg = vals < 0
+    brackets = [
+        (float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
+        for i in np.flatnonzero(neg[:-1] != neg[1:])
+    ]
+    steps = np.diff(vals)
+    for k in np.flatnonzero(steps[:-1] * steps[1:] < 0) + 1:
+        sign = 1 if steps[k - 1] > 0 else -1
+        if neg[k] != (sign > 0):
+            continue  # the node is already across the target
+        # a parabola through the nodes lifts the fold at most an eighth of
+        # their second difference past y1; the rest covers the cubic term
+        y0, y1, y2 = (float(v) for v in vals[k - 1:k + 2])
+        if abs(y1) > abs(y0 - 2.0 * y1 + y2):
+            continue
+        lo, hi = float(grid[k - 1]), float(grid[k + 1])
+        a_f, F_f = _fold(rho, lo, hi, sign)
+        f_f = F_f - target
+        if sign * f_f >= 0:
+            brackets += [(lo, a_f, y0, f_f), (a_f, hi, f_f, y2)]
+    brackets.sort()
 
     def residual(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim:
-            return big_F_scan(x, rho) - target
-        return big_F(float(x), rho) - target
+        return big_F(x, rho) - target
 
-    return find_all_roots(residual, lr, a_sup, grid_points=grid_points, tol=tol)
+    return RootSet(
+        roots=[_refine_bracket(residual, *br, 1e-10) for br in brackets],
+        brackets=[(a, b) for a, b, _, _ in brackets],
+    )
 
 
 def lambda_of_h1(h1, params, spec=None):
@@ -277,7 +330,7 @@ def lambda_of_d(d, params, spec=None):
 _TIE_RTOL = 5e-11
 
 
-def lyapunov(params, grid_points=512):
+def lyapunov(params):
     """Growth rate at (rho, beta) with every stationary branch retained.
 
     beta = 0 short-circuits to the exact value log(1+rho) with the
@@ -300,7 +353,7 @@ def lyapunov(params, grid_points=512):
             dlambda_drho=d0 / rho,
             dlambda_dbeta=d0 * d0 / 3.0,  # small-beta limit of the formula
         )
-    roots = solve_h1(params, grid_points=grid_points)
+    roots = solve_h1(params)
     branches = []
     for a in roots.roots:
         d = d_of_h1(a, params)

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import expit
 
 from lyaprec.errors import DomainError
 from lyaprec.meanfield import (
@@ -11,7 +13,7 @@ from lyaprec.meanfield import (
     mf_lambda,
     mf_phase_curve,
 )
-from lyaprec.variational import ModelParams
+from lyaprec.variational import ModelParams, entropy_I, lyapunov
 
 
 def test_beta_zero_flat_profile():
@@ -83,3 +85,27 @@ def test_derivative_jumps():
     rho_on_curve = math.exp(-beta / 3.0)
     assert jump_rho == pytest.approx(delta / rho_on_curve, rel=1e-12)
     assert jump_beta == pytest.approx(delta / 3.0, rel=1e-12)
+
+
+def _flat_functional(a, rho, beta):
+    # a*log(rho) + beta*a^2/3 - I(a), whose maximum over a is lambda_bar
+    return a * math.log(rho) + beta * a * a / 3.0 - entropy_I(a)
+
+
+@pytest.mark.parametrize(
+    "rho,beta", [(0.2, 80.0), (0.01, 60.0), (0.3, 40.0), (0.4, 19.5), (0.5, 300.0)]
+)
+def test_occupation_near_one(rho, beta):
+    params = ModelParams(rho, beta)
+    res = mf_lambda(params)
+    assert math.isfinite(res.lambda_bar)
+    # the functional equals the closed form only at a stationary point; a_star
+    # may round to 1, where the logit form of stationarity cannot be evaluated
+    assert _flat_functional(res.a_star, rho, beta) == pytest.approx(
+        res.lambda_bar, rel=1e-12
+    )
+    a_grid = expit(np.linspace(math.log(rho) - 5.0, 2.0 * beta / 3.0 + 5.0, 4001))
+    assert max(_flat_functional(a, rho, beta) for a in a_grid) <= (
+        res.lambda_bar + 1e-12 * res.lambda_bar
+    )
+    assert res.lambda_bar <= lyapunov(params).lambda_ + 1e-9

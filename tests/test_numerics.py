@@ -9,7 +9,6 @@ from scipy.special import erfi, zeta
 from lyaprec.errors import AccuracyError, DomainError, EvaluationError
 from lyaprec.numerics import (
     QuadratureSpec,
-    find_all_roots,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -120,32 +119,6 @@ def test_polylog_domain():
             polylog(2, bad)
     with pytest.raises(DomainError):
         polylog(4, 0.5)
-
-
-def test_find_all_roots_cubic():
-    rs = find_all_roots(lambda x: (x - 1.0) * (x - 2.0) * (x - 3.5), 0.0, 4.0)
-    assert rs.roots == pytest.approx([1.0, 2.0, 3.5], abs=1e-9)
-    for root, (a, b) in zip(rs.roots, rs.brackets):
-        assert a <= root <= b
-
-
-def test_find_all_roots_exact_node():
-    rs = find_all_roots(lambda x: x, -1.0, 1.0, grid_points=5)
-    assert rs.roots == [0.0]
-
-
-def test_find_all_roots_none_and_validation():
-    assert find_all_roots(lambda x: x * x + 1.0, -3.0, 3.0).roots == []
-    with pytest.raises(DomainError):
-        find_all_roots(lambda x: x, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        find_all_roots(lambda x: x, 0.0, 1.0, grid_points=1)
-
-
-def test_find_all_roots_bad_abscissa():
-    with pytest.raises(EvaluationError) as exc:
-        find_all_roots(lambda x: np.where(x < 5.0, np.nan, x - 5.0), 4.0, 6.0)
-    assert exc.value.abscissa == pytest.approx(4.0)
 
 
 @given(st.floats(min_value=-12.0, max_value=30.0))

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from lyaprec.errors import DomainError
 from lyaprec.meanfield import mf_lambda
-from lyaprec.numerics import softplus, softplus_diff
+from lyaprec.numerics import inverse_softplus, softplus, softplus_diff
 from lyaprec.variational import (
     ModelParams,
     big_F,
@@ -120,6 +121,54 @@ def test_solve_h1_counts_and_residuals(mini_curve):
         assert len(solve_h1(ModelParams(p.rho, beta)).roots) == 1
     with pytest.raises(DomainError):
         solve_h1(ModelParams(p.rho, 0.0))
+
+
+def _three_branch_window(rho):
+    # independent of the solver's own scan: a dense fixed-rule scan for the
+    # hump and the dip, each polished by bounded Brent on the adaptive big_F
+    a = np.linspace(math.log(rho), math.log(rho) + 12.0, 8192)
+    desc = np.flatnonzero(np.diff(big_F_scan(a, rho)) < 0)
+    i, j = desc[0], desc[-1] + 1
+    opts = {"xatol": 1e-12}
+    hump = minimize_scalar(lambda x: -big_F(x, rho), bounds=(a[i - 1], a[i + 1]),
+                           method="bounded", options=opts)
+    dip = minimize_scalar(lambda x: big_F(x, rho), bounds=(a[j - 1], a[j + 1]),
+                          method="bounded", options=opts)
+    return 0.25 * dip.fun ** 2, 0.25 * hump.fun ** 2
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.1, 0.12])
+@pytest.mark.parametrize("u", [5e-8, 1e-9])
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_three_branches_next_to_window_edges(rho, u, edge):
+    # two roots next to a fold share one scan cell here
+    beta_lo, beta_hi = _three_branch_window(rho)
+    beta = beta_lo * (1.0 + u) if edge == "lo" else beta_hi * (1.0 - u)
+    params = ModelParams(rho, beta)
+    rs = solve_h1(params)
+    assert len(rs.roots) == 3
+    assert rs.roots == sorted(rs.roots)
+    target = 2.0 * math.sqrt(beta)
+    for r, (a, b) in zip(rs.roots, rs.brackets):
+        assert a <= r <= b
+        assert abs(big_F(r, rho) - target) <= 1e-9
+    assert len(lyapunov(params).all_branches) == 3
+
+
+@given(
+    st.floats(min_value=0.01, max_value=0.3),
+    st.floats(min_value=0.2, max_value=20.0),
+)
+def test_branch_count_matches_dense_scan(rho, beta):
+    lr = math.log(rho)
+    a_sup = float(inverse_softplus(beta + math.log1p(rho)))
+    F = big_F_scan(np.linspace(lr, a_sup, 8192), rho)
+    target = 2.0 * math.sqrt(beta)
+    steps = np.diff(F)
+    folds = F[1:-1][steps[:-1] * steps[1:] < 0]
+    assume(np.all(np.abs(folds - target) > 1e-3 * target))
+    expected = int(np.count_nonzero(np.diff(F < target)))
+    assert len(solve_h1(ModelParams(rho, beta)).roots) == expected
 
 
 def test_lambda_representations_agree(mini_curve):
