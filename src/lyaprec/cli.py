@@ -256,8 +256,12 @@ def _resolve(args):
         raise DomainError("the %s command emits JSON only" % command)
     out = pick("out", str, None)
     seed = pick("seed", int, 0)
-    env_threads = os.environ.get(THREADS_ENV_VAR)
-    threads = pick("threads", int, int(env_threads) if env_threads else 1)
+    threads = pick("threads", int, None)
+    if threads is None:
+        try:
+            threads = int(os.environ.get(THREADS_ENV_VAR) or 1)
+        except ValueError as exc:
+            raise DomainError("%s: %s" % (THREADS_ENV_VAR, exc))
     if threads < 1:
         raise DomainError("threads must be >= 1")
     return RunConfig(command=command, format=fmt, out=out, seed=seed,

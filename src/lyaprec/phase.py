@@ -20,7 +20,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .errors import DomainError, NumericsError
-from .numerics import inverse_softplus, polylog, softplus_diff
+from .numerics import _refine_bracket, inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
     _fold,
@@ -30,7 +30,6 @@ from .variational import (
     d_of_h1,
     lambda_of_d,
     lambda_of_h1,
-    solve_h1,
 )
 
 __all__ = [
@@ -301,47 +300,42 @@ def _trace_one(rho):
             "no coexistence window at rho=%r; the amplitude is at or above "
             "the critical value" % rho
         )
-    a_hump, a_dip, beta_lo, beta_hi = win
-    separator = 0.5 * (a_hump + a_dip)
-    lo = beta_lo * (1.0 + 1e-12)
-    hi = beta_hi * (1.0 - 1e-12)
-    last_pair = None
-
-    def chi(beta):
-        nonlocal last_pair
+    a_hump, a_dip, lo, hi = win
+    f_hump, f_dip = 2.0 * math.sqrt(hi), 2.0 * math.sqrt(lo)
+    beta = 0.5 * (lo + hi)
+    for _ in range(60):
         params = ModelParams(rho, beta)
-        roots = solve_h1(params).roots
-        if len(roots) >= 2:
-            low, high = roots[0], roots[-1]
-            last_pair = (d_of_h1(low, params), d_of_h1(high, params))
-            return lambda_of_h1(high, params) - lambda_of_h1(low, params)
-        return -1.0 if roots[0] < separator else 1.0
+        target = 2.0 * math.sqrt(beta)
+        a_sup = float(inverse_softplus(beta + math.log1p(rho)))
 
-    c_lo = chi(lo)
-    c_hi = chi(hi)
-    if not (c_lo < 0 < c_hi):
-        raise NumericsError(
-            "branch values do not cross inside the window at rho=%r" % rho
-        )
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if chi(mid) < 0:
-            lo = mid
+        def residual(x, target=target):
+            return big_F(x, rho) - target
+
+        # the outer roots, each the single root on its monotone piece
+        a1 = _refine_bracket(residual, math.log(rho), a_hump, -target,
+                             f_hump - target, 1e-10)
+        a2 = _refine_bracket(residual, a_dip, a_sup, f_dip - target,
+                             residual(a_sup), 1e-10)
+        d1, d2 = d_of_h1(a1, params), d_of_h1(a2, params)
+        gap = lambda_of_h1(a2, params) - lambda_of_h1(a1, params)
+        if gap < 0:
+            lo = beta
         else:
-            hi = mid
-    beta_cr = 0.5 * (lo + hi)
-    params = ModelParams(rho, beta_cr)
-    roots = solve_h1(params).roots
-    if len(roots) >= 2:
-        d1 = d_of_h1(roots[0], params)
-        d2 = d_of_h1(roots[-1], params)
-    elif last_pair is not None:
-        d1, d2 = last_pair
+            hi = beta
+        # each branch has dlambda/dbeta = (beta*d^2 + log(1+rho) - lambda)/(2*beta)
+        step = -2.0 * beta * gap / (beta * (d2 * d2 - d1 * d1) - gap)
+        # only a Newton step may stop the loop: bisecting toward a window
+        # edge that the gap never crosses must not pass for convergence
+        if abs(step) <= 1e-13 * beta:
+            break
+        beta = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
     else:
-        raise NumericsError("lost the coexisting branches at rho=%r" % rho)
+        raise NumericsError(
+            "the branch-value gap did not converge to zero at rho=%r" % rho
+        )
     return PhaseCurvePoint(
         rho=rho,
-        beta_cr=beta_cr,
+        beta_cr=beta + step,
         d1=d1,
         d2=d2,
         jump_drho=(d2 - d1) / rho,
@@ -353,9 +347,10 @@ def trace_phase_curve(rho_values):
     """First-order curve points for each amplitude (all must be < rho_c).
 
     Per amplitude: bracket the three-branch beta window off the
-    extrema of the boundary function, then bisect in beta for the
-    crossing of the outer branch values. An amplitude without a window
-    raises DomainError, which is the at-or-above-critical signal.
+    extrema of the boundary function, then solve for the crossing of
+    the outer branch values by safeguarded Newton in beta, with each
+    outer root found on its own monotone piece. An amplitude without a
+    window raises DomainError, which is the at-or-above-critical signal.
     """
     return [_trace_one(float(rho)) for rho in rho_values]
 

@@ -105,6 +105,8 @@ class SimSpec:
         """Spec on the fixed-beta diagonal: tau=1, sigma = sqrt(2*beta)/n."""
         if not beta >= 0:
             raise DomainError("beta must be >= 0")
+        if not n >= 1:
+            raise DomainError("n must be an integer >= 1")
         return cls(n=n, rho=rho, sigma=math.sqrt(2.0 * beta) / n, tau=1.0, **kwargs)
 
     @property

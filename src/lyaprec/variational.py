@@ -306,7 +306,7 @@ def correction_integral(arg, rho, spec=None):
         raise DomainError("correction_integral needs arg >= 0")
 
     def f(y):
-        return y * y / (1.0 + rho - np.exp(arg * (y * y - 1.0)))
+        return y * y / (rho - np.expm1(arg * (y * y - 1.0)))
 
     return integrate_adaptive(f, 0.0, 1.0, spec or ACCURATE_QUADRATURE)
 

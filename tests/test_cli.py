@@ -129,12 +129,15 @@ def test_lyapunov_rows_respect_bounds(tmp_path):
         assert row[col["meanfield_lambda"]] <= lam + 1e-9
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(monkeypatch, capsys):
     assert main(["simulate", "--n", "25", "--exact"]) == 3
+    assert main(["simulate", "--n", "0"]) == 2
     assert main(["critical", "--rho-lo", "0.3", "--rho-hi", "0.2"]) == 2
     assert main(["critical", "--format", "csv"]) == 2
     assert main(["lyapunov", "--rho", "abc"]) == 2
     assert main(["nonsense"]) == 2
+    monkeypatch.setenv("LYAPREC_THREADS", "abc")
+    assert main(["simulate", "--n", "10", "--paths", "100"]) == 2
     capsys.readouterr()
 
 

@@ -21,6 +21,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         SimSpec(n=0, rho=0.2, sigma=0.1)
     with pytest.raises(DomainError):
+        SimSpec.from_beta(0, 0.2, 1.0)
+    with pytest.raises(DomainError):
         SimSpec(n=4, rho=-0.1, sigma=0.1)
     with pytest.raises(DomainError):
         SimSpec(n=4, rho=0.2, sigma=-1.0)

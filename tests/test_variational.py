@@ -11,6 +11,7 @@ from scipy.special import expit
 from lyaprec.errors import DomainError
 from lyaprec.meanfield import mf_lambda
 from lyaprec.numerics import inverse_softplus, softplus, softplus_diff
+from lyaprec.phase import trace_phase_curve
 from lyaprec.variational import (
     ModelParams,
     big_F,
@@ -180,6 +181,17 @@ def test_lambda_representations_agree(mini_curve):
         assert via_h1 == pytest.approx(via_d, abs=1e-10)
 
 
+@pytest.mark.parametrize("rho,beta", [(2e-6, 15.0), (1e-6, 18.0), (2e-6, 8.0)])
+def test_lambda_of_d_at_tiny_rho(rho, beta):
+    # the selected branch has d about rho, so the kernel denominator
+    # falls to about rho near y = 1 and must be formed without cancellation
+    params = ModelParams(rho, beta)
+    res = lyapunov(params)
+    assert lambda_of_d(res.selected.d, params) == pytest.approx(
+        res.lambda_, rel=1e-14
+    )
+
+
 def test_beta_zero_closed_form():
     for rho in (0.01, 0.5, 5.0):
         res = lyapunov(ModelParams(rho, 0.0))
@@ -240,11 +252,15 @@ def test_root_shift_identity():
     )
 
 
-def test_tie_at_transition(mini_curve):
-    p = mini_curve[2]
+# the mini_curve amplitudes plus one far below and one just under rho_c
+@pytest.mark.parametrize("rho", [0.04, 0.07, 0.1, 0.001, 0.1232])
+def test_tie_at_transition(rho):
+    (p,) = trace_phase_curve([rho])
     res = lyapunov(ModelParams(p.rho, p.beta_cr))
     assert res.tie
     assert len(res.all_branches) == 3
+    low, high = res.all_branches[0], res.all_branches[-1]
+    assert abs(high.lambda_value - low.lambda_value) <= 1e-12
     assert res.selected.d == max(b.d for b in res.all_branches)
 
 
