@@ -5,6 +5,7 @@ a computation that would exceed a stated resource budget (BudgetError),
 and numerical machinery that failed to converge (NumericsError and its
 subclasses). The CLI maps these onto distinct exit codes.
 """
+from contextlib import contextmanager
 
 
 class DomainError(ValueError):
@@ -16,7 +17,17 @@ class BudgetError(RuntimeError):
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine failed to converge or lost its bracket."""
+    """A numerical routine failed to converge or lost its bracket.
+
+    A solver that lets one escape records where: ``stage`` names the
+    step, ``rho`` and ``beta`` the model point (``beta`` is None for a
+    step that runs before any beta is chosen), and the message leads
+    with all three.
+    """
+
+    stage = None
+    rho = None
+    beta = None
 
 
 class AccuracyError(NumericsError):
@@ -41,3 +52,17 @@ class EvaluationError(NumericsError):
     def __init__(self, message: str, abscissa: float):
         super().__init__(message)
         self.abscissa = abscissa
+
+
+@contextmanager
+def _stage(name, rho, beta=None):
+    """Name the solver step and the model point on a NumericsError that
+    leaves the block; an error already named by an inner step keeps its
+    name."""
+    try:
+        yield
+    except NumericsError as exc:
+        if exc.stage is None:
+            exc.stage, exc.rho, exc.beta = name, rho, beta
+            exc.args = ("%s at rho=%r, beta=%r: %s" % (name, rho, beta, exc),)
+        raise

@@ -1,9 +1,11 @@
 """Shared numerical kernels.
 
-Three families of tools live here: adaptive panel quadrature with an
+Four families of tools live here: adaptive panel quadrature with an
 exact substitution for integrands that blow up like 1/sqrt(y) at the
-left endpoint, real polylogarithms of order 2 and 3, and a refiner for
-a root bracketed on a monotone piece, which each caller names itself.
+left endpoint, a fixed graded rule for the kernel family of the
+boundary equation, real polylogarithms of order 2 and 3, and a refiner
+for a root bracketed on a monotone piece, which each caller names
+itself.
 Everything is a pure function; there is no shared mutable state, so
 concurrent use is safe.
 
@@ -147,6 +149,74 @@ def integrate_inverse_sqrt_singularity(f, U, spec=None):
     return integrate_adaptive(transformed, 0.0, math.sqrt(U), spec)
 
 
+# One panel of the boundary-kernel rule: the 15-point nodes, then the
+# 7-point ones, on [0, 1] (the first panel) and on [1, 2] (the others,
+# which double in width); weight column 0 is the 15-point rule, column 1
+# the 7-point rule, each for a panel of half-width 1/2.
+_KERNEL_NODES = np.concatenate((_NODES15, _NODES7))
+_KERNEL_FIRST = 0.5 + 0.5 * _KERNEL_NODES
+_KERNEL_DOUBLING = 1.5 + 0.5 * _KERNEL_NODES
+_KERNEL_WEIGHTS = 0.5 * np.array(
+    [np.append(_WEIGHTS15, np.zeros(7)), np.append(np.zeros(15), _WEIGHTS7)]
+).T
+
+
+def _boundary_kernels(b, rho):
+    """K0, K1 and dK0/db of the boundary-equation family at an array of b.
+
+    K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2 - 1))),
+    dK0/db = -integral of (1-u^2)*e^(b(u^2-1)) / D^2, with D the
+    denominator. In v = 1 - u the exponent is -b*v*(2-v), which keeps its
+    digits where D falls to rho at v = 0; there the integrand has a layer
+    of height 1/rho and width about rho/(2b). A 15-point Gauss-Legendre
+    rule on panels 0, w, 2w, 4w, ..., 1 resolves it, with w the largest
+    power of two at most min(min(rho, 1)/(2*b_max), 1/2). One rule serves
+    the whole call, so the values are smooth in b. The 7-point rule on
+    the same panels is the embedded check: AccuracyError if the two
+    differ by more than 1e-6 relative.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    b_max = float(b.max())
+    doublings = 1
+    if b_max > 0.0:
+        doublings = max(1, math.ceil(math.log2(2.0 * b_max / min(rho, 1.0))))
+    # panel p spans [0, w] for p = 0 and [scale, 2*scale] after it
+    scale = np.ldexp(1.0, np.arange(-doublings - 1, 0))
+    scale[0] = scale[1]
+    v = np.multiply.outer(scale, _KERNEL_DOUBLING)
+    v[0] = scale[0] * _KERNEL_FIRST
+    v = v.ravel()
+    layer = v * (2.0 - v)
+    weights = np.multiply.outer(scale, _KERNEL_WEIGHTS).reshape(-1, 2)
+    # 1/D, u^2/D and v*(2-v)*e^(-b*v*(2-v))/D^2, the integrand of -dK0/db,
+    # each a row block of one buffer
+    n = v.size
+    buf = np.empty((b.size, 3, n))
+    inv, inv_u2, slope = buf[:, 0], buf[:, 1], buf[:, 2]
+    np.multiply.outer(b, -layer, out=slope)
+    np.expm1(slope, out=slope)
+    np.subtract(rho, slope, out=inv)
+    np.reciprocal(inv, out=inv)
+    np.multiply(inv, (1.0 - v) ** 2, out=inv_u2)
+    slope += 1.0
+    slope *= layer
+    slope *= inv
+    slope *= inv
+    vals = (buf.reshape(-1, n) @ weights).reshape(b.size, 3, 2)
+    vals[:, 2] *= -1.0
+    fine = vals[:, :, 0]
+    err = np.abs(fine - vals[:, :, 1])
+    bad = err > 1e-6 * np.abs(fine)
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        raise AccuracyError(
+            "boundary kernel rules disagree at b=%r" % float(b[i[0]]),
+            best_estimate=float(fine[i]),
+            error_bound=float(err[i]),
+        )
+    return fine[:, 0], fine[:, 1], fine[:, 2]
+
+
 def _power_series(z, p):
     # sum z^k / k^p, |z| < 1 and comfortably away from 1
     total = 0.0
@@ -240,7 +310,7 @@ def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
             x1, f1 = cand, fcand
         xp, fp = xc, fc
         xc, fc = cand, fcand
-        if (x1 - x0) <= 4 * np.finfo(float).eps * max(abs(x0), abs(x1), 1.0):
+        if (x1 - x0) <= 4 * np.finfo(float).eps * max(abs(x0), abs(x1)):
             best, fbest = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
             if abs(fbest) <= tol:
                 return best

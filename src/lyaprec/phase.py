@@ -19,17 +19,17 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, _stage
 from .numerics import _refine_bracket, inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
-    _fold,
+    _branch_values,
+    _gap_and_slope,
+    _residual_target,
     big_F,
     big_F_scan,
     correction_integral,
-    d_of_h1,
     lambda_of_d,
-    lambda_of_h1,
 )
 
 __all__ = [
@@ -260,6 +260,18 @@ def locate_critical_point(
     )
 
 
+def _fold(rho, lo, hi, sign):
+    """Logit and big_F value of the hump (sign=+1) or dip (sign=-1) of
+    big_F inside (lo, hi), by bounded Brent."""
+    res = minimize_scalar(
+        lambda x: -sign * big_F(x, rho),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-11},
+    )
+    return float(res.x), -sign * float(res.fun)
+
+
 def _extrema_window(rho):
     """Local max/min pair of the boundary function, or None if monotone.
 
@@ -294,30 +306,32 @@ def _extrema_window(rho):
 
 
 def _trace_one(rho):
-    win = _extrema_window(rho)
+    with _stage("fold window", rho):
+        win = _extrema_window(rho)
     if win is None:
         raise DomainError(
             "no coexistence window at rho=%r; the amplitude is at or above "
             "the critical value" % rho
         )
     a_hump, a_dip, lo, hi = win
-    f_hump, f_dip = 2.0 * math.sqrt(hi), 2.0 * math.sqrt(lo)
+    L_hump, L_dip = softplus_diff([a_hump, a_dip], math.log(rho))
     beta = 0.5 * (lo + hi)
     for _ in range(60):
-        params = ModelParams(rho, beta)
-        target = 2.0 * math.sqrt(beta)
-        a_sup = float(inverse_softplus(beta + math.log1p(rho)))
+        with _stage("coexistence Newton", rho, beta):
+            # the outer roots of g(d), each the single root on its monotone
+            # piece: [rho/(1+rho), d_hump] and [d_dip, 1]
+            ends = np.array([rho / (1.0 + rho), math.sqrt(L_hump / beta),
+                             math.sqrt(L_dip / beta), 1.0])
+            g = _gap_and_slope(ends, rho, beta)[0]
 
-        def residual(x, target=target):
-            return big_F(x, rho) - target
+            def residual(x, beta=beta):
+                return float(_gap_and_slope(np.array([x]), rho, beta)[0][0])
 
-        # the outer roots, each the single root on its monotone piece
-        a1 = _refine_bracket(residual, math.log(rho), a_hump, -target,
-                             f_hump - target, 1e-10)
-        a2 = _refine_bracket(residual, a_dip, a_sup, f_dip - target,
-                             residual(a_sup), 1e-10)
-        d1, d2 = d_of_h1(a1, params), d_of_h1(a2, params)
-        gap = lambda_of_h1(a2, params) - lambda_of_h1(a1, params)
+            tol = _residual_target(beta)
+            d1 = float(_refine_bracket(residual, ends[0], ends[1], g[0], g[1], tol))
+            d2 = float(_refine_bracket(residual, ends[2], ends[3], g[2], g[3], tol))
+            lam1, lam2 = (float(x) for x in _branch_values(np.array([d1, d2]), rho, beta))
+        gap = lam2 - lam1
         if gap < 0:
             lo = beta
         else:
@@ -330,9 +344,8 @@ def _trace_one(rho):
             break
         beta = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
     else:
-        raise NumericsError(
-            "the branch-value gap did not converge to zero at rho=%r" % rho
-        )
+        with _stage("coexistence Newton", rho, beta):
+            raise NumericsError("the branch-value gap did not converge to zero")
     return PhaseCurvePoint(
         rho=rho,
         beta_cr=beta + step,
@@ -349,8 +362,11 @@ def trace_phase_curve(rho_values):
     Per amplitude: bracket the three-branch beta window off the
     extrema of the boundary function, then solve for the crossing of
     the outer branch values by safeguarded Newton in beta, with each
-    outer root found on its own monotone piece. An amplitude without a
-    window raises DomainError, which is the at-or-above-critical signal.
+    outer root of the boundary residual g(d) found on its own monotone
+    piece in the occupation d. An amplitude without a window raises
+    DomainError, which is the at-or-above-critical signal; a
+    NumericsError names the stage ("fold window" or "coexistence
+    Newton") and the (rho, beta) at which it arose.
     """
     return [_trace_one(float(rho)) for rho in rho_values]
 

@@ -10,8 +10,17 @@ logit h(1), written a below. Stationarity reduces to the scalar
 equation big_F(a; rho) = 2*sqrt(beta), each solution is one branch, and
 the growth rate is the largest branch value.
 
-For each rho, big_F has at most one hump and one dip, so at most three
-monotone pieces, each holding at most one root.
+The solver works in the branch's mean occupation d instead, with
+L = log((1+e^a)/(1+rho)) = beta*d^2. With the kernel family
+K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2-1))),
+big_F = 2*sqrt(L)*(1+rho)*K0(L), so the boundary equation reads
+g(d) = d*(1+rho)*K0(beta*d^2) - 1 = 0, every root lies in
+[rho/(1+rho), 1], and the branch value is
+beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1(beta*d^2). One fixed-rule
+kernel call gives K0, K1 and dK0/db at a whole array of b. For each rho,
+big_F has at most one hump and one dip, so g has at most three monotone
+pieces in d, each holding at most one root. The route through the
+boundary logit, lambda_of_h1, stays as an independent check.
 
 Everything downstream (phase structure, jump fits, simulators) builds
 on the operations here.
@@ -25,13 +34,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, xlogy
 
-from .errors import DomainError
+from .errors import DomainError, _stage
 from .numerics import (
     ACCURATE_QUADRATURE,
     _NODES15,
     _WEIGHTS15,
+    _boundary_kernels,
     _refine_bracket,
-    integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
     softplus,
@@ -116,11 +125,12 @@ class OptimizerProfile:
 @dataclass(frozen=True)
 class RootSet:
     """Stationary boundary logits in increasing order, each with the
-    bracket it was refined from: a scan cell, or the part of a cell pair
-    on one side of a fold."""
+    bracket it was refined from (as logits), and the mean occupations d
+    of the same roots, which the solve works in."""
 
     roots: list
     brackets: list
+    d: list
 
 
 def entropy_I(x):
@@ -132,29 +142,25 @@ def entropy_I(x):
     return float(out) if out.ndim == 0 else out
 
 
-def big_F(a, rho, spec=None):
+def big_F(a, rho):
     """Boundary equation integrand total: the roots of
     big_F(a; rho) = 2*sqrt(beta) in a are the stationary branches.
 
-    Computed as the integral over y in (0, L] of
-    (1+e^a) / ((1+e^a-e^y) * sqrt(y)) with L = log((1+e^a)/(1+rho)),
-    through the singularity-removing quadrature. The integrand exceeds
-    1/sqrt(y) pointwise, so big_F(a) >= 2*sqrt(L) always.
+    Defined as the integral over y in (0, L] of
+    (1+e^a) / ((1+e^a-e^y) * sqrt(y)) with L = log((1+e^a)/(1+rho)), and
+    computed as 2*s*(1+rho)*K0(s^2; rho) with s = sqrt(L), through the
+    fixed-rule kernel family. The integrand exceeds 1/sqrt(y)
+    pointwise, so big_F(a) >= 2*sqrt(L) always.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
     lr = math.log(rho)
     if a < lr:
         raise DomainError("big_F needs a >= log(rho)")
-    sp_a = float(softplus(a))
-    L = sp_a - math.log1p(rho)
+    L = float(softplus_diff(a, lr))
     if L <= 0:
         return 0.0
-
-    def f(y):
-        return 1.0 / ((-np.expm1(y - sp_a)) * np.sqrt(y))
-
-    return integrate_inverse_sqrt_singularity(f, L, spec or ACCURATE_QUADRATURE)
+    return 2.0 * math.sqrt(L) * (1.0 + rho) * float(_boundary_kernels(L, rho)[0][0])
 
 
 # Fixed graded panels for the vectorized scan: after rescaling to u in
@@ -189,67 +195,127 @@ def big_F_scan(a_values, rho):
     return 2.0 * np.sqrt(L) * (_SCAN_W / den).sum(axis=1)
 
 
-def _fold(rho, lo, hi, sign):
-    """Logit and adaptive big_F value of the hump (sign=+1) or dip
-    (sign=-1) of big_F inside (lo, hi), by bounded Brent."""
-    res = minimize_scalar(
-        lambda x: -sign * big_F(x, rho),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-11},
-    )
-    return float(res.x), -sign * float(res.fun)
+_SCAN_POINTS = 64
+
+
+def _gap_and_slope(d, rho, beta):
+    """Boundary residual g(d) = d*(1+rho)*K0(beta*d^2) - 1 and its log
+    slope 1 + 2b*K0'(b)/K0(b), which has the sign of g'(d), at an array of d."""
+    b = beta * d * d
+    K0, _, dK0 = _boundary_kernels(b, rho)
+    return d * (1.0 + rho) * K0 - 1.0, 1.0 + 2.0 * b * dK0 / K0
+
+
+def _residual_target(beta):
+    """Target for |g| in a root solve: the 1e-10 residual on big_F, which
+    is 1e-10/(2*sqrt(beta)) on g, and at most 1e-13. The tighter bound
+    costs about one more secant step; it matters where g is flat, as
+    the error left in d is |g|/g'(d)."""
+    return min(0.5e-10 / math.sqrt(beta), 1e-13)
+
+
+def _branch_values(d, rho, beta):
+    """Branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1(beta*d^2)
+    at an array of stationary occupations d."""
+    b = beta * d * d
+    return b + math.log1p(rho) - 2.0 * beta * (1.0 + rho) * d ** 3 * _boundary_kernels(b, rho)[1]
 
 
 def solve_h1(params):
     """All stationary boundary logits at (rho, beta), beta > 0.
 
-    Every root of big_F = 2*sqrt(beta) satisfies
-    log((1+e^a)/(1+rho)) <= beta because big_F >= 2*sqrt(L); the scan
-    interval [log rho, a_sup] with softplus(a_sup) = beta + log(1+rho)
-    therefore provably contains all of them, and big_F(a_sup) sits
-    strictly above the target. A 512-point fixed-rule scan brackets
-    each sign change. Two roots next to a fold may share a scan cell,
-    so a scan hump or dip short of the target is polished when its
-    parabola may reach the target; if the fold crosses it, the cell
-    pair is split there, one bracket per monotone piece. Brackets are
-    refined with the adaptive big_F, starting from the scan values.
+    The boundary equation big_F(a) = 2*sqrt(beta) is solved in the mean
+    occupation d, as g(d) = d*(1+rho)*K0(beta*d^2) - 1 = 0. Because
+    1/(1+rho) <= K0 <= 1/rho, every root lies in [rho/(1+rho), 1], where
+    g starts <= 0 and ends > 0. One kernel call on a 64-point scan gives
+    g and the sign of g'; each sign change of g' is a fold. Between folds
+    g is monotone, so each piece whose end values straddle zero holds
+    one root, bracketed by the scan nodes inside it and refined to
+    |g| <= min(1e-10/(2*sqrt(beta)), 1e-13); the first bound is the
+    1e-10 residual on big_F. A fold is polished on g' only where the
+    scan leaves open whether g crosses zero there; where a node next to
+    it already lies past zero, that node ends the piece instead, as each
+    side of it still holds one crossing at most. Just under rho_c a hump
+    and a dip can both fall between two nodes, where g' keeps its sign;
+    a local minimum of the log slope close enough to zero is then
+    minimized by bounded Brent, and a negative minimum splits the cell
+    pair into the two folds. Logits follow from
+    a = inverse_softplus(beta*d^2 + log(1+rho)).
     """
     if not params.beta > 0:
         raise DomainError("solve_h1 needs beta > 0")
-    rho = params.rho
-    target = 2.0 * math.sqrt(params.beta)
-    a_sup = float(inverse_softplus(params.beta + math.log1p(rho)))
-    grid = np.linspace(math.log(rho), a_sup, 512)
-    vals = big_F_scan(grid, rho) - target
-    neg = vals < 0
-    brackets = [
-        (float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
-        for i in np.flatnonzero(neg[:-1] != neg[1:])
-    ]
-    steps = np.diff(vals)
-    for k in np.flatnonzero(steps[:-1] * steps[1:] < 0) + 1:
-        sign = 1 if steps[k - 1] > 0 else -1
-        if neg[k] != (sign > 0):
-            continue  # the node is already across the target
-        # a parabola through the nodes lifts the fold at most an eighth of
-        # their second difference past y1; the rest covers the cubic term
-        y0, y1, y2 = (float(v) for v in vals[k - 1:k + 2])
-        if abs(y1) > abs(y0 - 2.0 * y1 + y2):
-            continue
-        lo, hi = float(grid[k - 1]), float(grid[k + 1])
-        a_f, F_f = _fold(rho, lo, hi, sign)
-        f_f = F_f - target
-        if sign * f_f >= 0:
-            brackets += [(lo, a_f, y0, f_f), (a_f, hi, f_f, y2)]
-    brackets.sort()
+    rho, beta = params.rho, params.beta
+    d = np.linspace(rho / (1.0 + rho), 1.0, _SCAN_POINTS)
+    with _stage("scan", rho, beta):
+        g, slope = _gap_and_slope(d, rho, beta)
 
-    def residual(x):
-        return big_F(x, rho) - target
+    def gap(x):
+        return float(_gap_and_slope(np.array([x]), rho, beta)[0][0])
+
+    def log_slope(x):
+        return float(_gap_and_slope(np.array([x]), rho, beta)[1][0])
+
+    rising = slope > 0
+    # each fold lies in a cell (lo, hi, slope and g at both ends) whose
+    # ends straddle a sign change of the log slope
+    cells = [(d[i], d[i + 1], slope[i], slope[i + 1], g[i], g[i + 1])
+             for i in np.flatnonzero(rising[:-1] != rising[1:])]
+    # g <= 0 at d = rho/(1+rho) and g > 0 at d = 1 hold exactly; where b is
+    # tiny, g sits within rounding of zero at the left end and may land
+    # on the wrong side of it
+    ends, g_ends = [d[0]], [min(g[0], 0.0)]
+    with _stage("fold polish", rho, beta):
+        # near rho_c a hump and a dip closer than the scan step hide between
+        # nodes where the log slope stays positive; a parabola through three
+        # nodes dips at most an eighth of their second difference below the
+        # middle one, the rest covers the cubic term
+        mid = slope[1:-1]
+        for i in 1 + np.flatnonzero(
+            (mid > 0) & (mid <= slope[:-2]) & (mid <= slope[2:])
+            & (mid <= slope[:-2] - 2.0 * mid + slope[2:])
+        ):
+            res = minimize_scalar(log_slope, bounds=(d[i - 1], d[i + 1]),
+                                  method="bounded", options={"xatol": 1e-12 * d[i]})
+            if res.fun < 0:
+                x, s_x = float(res.x), float(res.fun)
+                g_x = gap(x)
+                cells += [(d[i - 1], x, slope[i - 1], s_x, g[i - 1], g_x),
+                          (x, d[i + 1], s_x, slope[i + 1], g_x, g[i + 1])]
+        for lo, hi, s_lo, s_hi, g_lo, g_hi in sorted(cells):
+            # +1 at a hump, -1 at a dip
+            sign = 1.0 if s_lo > 0 else -1.0
+            x, g_x = (lo, g_lo) if sign * g_lo >= sign * g_hi else (hi, g_hi)
+            if sign * g_x <= 0:
+                x = _refine_bracket(log_slope, lo, hi, s_lo, s_hi, 1e-12)
+                g_x = gap(x)
+            # else g is already past zero at that end, so each side of it
+            # holds one crossing at most: it serves as the piece end
+            ends.append(x)
+            g_ends.append(g_x)
+    ends.append(d[-1])
+    g_ends.append(max(g[-1], 0.0))
+
+    tol = _residual_target(beta)
+    roots, brackets = [], []
+    with _stage("root refinement", rho, beta):
+        for lo, hi, g_lo, g_hi in zip(ends, ends[1:], g_ends, g_ends[1:]):
+            if g_lo * g_hi > 0:
+                continue
+            inner = (d > lo) & (d < hi)
+            xs = np.concatenate(([lo], d[inner], [hi]))
+            gs = np.concatenate(([g_lo], g[inner], [g_hi]))
+            # the first node at or past the root on this monotone piece
+            k = max(int(np.argmax(gs * (g_hi - g_lo) >= 0)), 1)
+            roots.append(_refine_bracket(gap, xs[k - 1], xs[k], gs[k - 1], gs[k], tol))
+            brackets.append((float(xs[k - 1]), float(xs[k])))
+
+    def logit(x):
+        return float(inverse_softplus(beta * x * x + math.log1p(rho)))
 
     return RootSet(
-        roots=[_refine_bracket(residual, *br, 1e-10) for br in brackets],
-        brackets=[(a, b) for a, b, _, _ in brackets],
+        roots=[logit(x) for x in roots],
+        brackets=[(logit(lo), logit(hi)) for lo, hi in brackets],
+        d=[float(x) for x in roots],
     )
 
 
@@ -291,9 +357,9 @@ def d_of_h1(h1, params):
     return math.sqrt(max(L, 0.0) / params.beta)
 
 
-def correction_integral(arg, rho, spec=None):
+def correction_integral(arg, rho):
     """Smooth kernel integral over y in [0, 1] of
-    y^2 / (1 + rho - exp(arg*(y^2 - 1))).
+    y^2 / (1 + rho - exp(arg*(y^2 - 1))), the K1 of the kernel family.
 
     This is the cubic-order correction in the mean-parameterized branch
     value; its denominator stays >= rho on the whole interval. The
@@ -304,14 +370,10 @@ def correction_integral(arg, rho, spec=None):
         raise DomainError("rho must be positive")
     if arg < 0:
         raise DomainError("correction_integral needs arg >= 0")
-
-    def f(y):
-        return y * y / (rho - np.expm1(arg * (y * y - 1.0)))
-
-    return integrate_adaptive(f, 0.0, 1.0, spec or ACCURATE_QUADRATURE)
+    return float(_boundary_kernels(arg, rho)[1][0])
 
 
-def lambda_of_d(d, params, spec=None):
+def lambda_of_d(d, params):
     """Branch value as a function of the mean occupation d in (0, 1):
     beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3 * correction_integral(beta*d^2).
 
@@ -321,10 +383,7 @@ def lambda_of_d(d, params, spec=None):
     """
     if not (0.0 < d < 1.0):
         raise DomainError("lambda_of_d needs d in (0, 1)")
-    rho, beta = params.rho, params.beta
-    b = beta * d * d
-    J = correction_integral(b, rho, spec)
-    return b + math.log1p(rho) - 2.0 * beta * (1.0 + rho) * d ** 3 * J
+    return float(_branch_values(np.array([d]), params.rho, params.beta)[0])
 
 
 _TIE_RTOL = 5e-11
@@ -339,7 +398,10 @@ def lyapunov(params):
     branch values agree to solver precision the larger-d branch wins
     and the tie flag is set. Partial derivatives ride along: d/drho of
     the growth rate equals d/rho on the selected branch, and d/dbeta
-    equals (beta*d^2 + log(1+rho) - lambda) / (2*beta).
+    equals (beta*d^2 + log(1+rho) - lambda) / (2*beta). Branch values
+    come from the K1 kernel at the roots in d. A NumericsError names the
+    stage ("scan", "fold polish", "root refinement" or "branch values")
+    and the (rho, beta) at which it arose.
     """
     rho, beta = params.rho, params.beta
     if beta == 0.0:
@@ -354,10 +416,12 @@ def lyapunov(params):
             dlambda_dbeta=d0 * d0 / 3.0,  # small-beta limit of the formula
         )
     roots = solve_h1(params)
-    branches = []
-    for a in roots.roots:
-        d = d_of_h1(a, params)
-        branches.append(Branch(h1=a, d=d, lambda_value=lambda_of_h1(a, params)))
+    with _stage("branch values", rho, beta):
+        values = _branch_values(np.array(roots.d), rho, beta)
+    branches = [
+        Branch(h1=a, d=d, lambda_value=float(v))
+        for a, d, v in zip(roots.roots, roots.d, values)
+    ]
     best_value = max(b.lambda_value for b in branches)
     tie_tol = _TIE_RTOL * max(1.0, abs(best_value))
     contenders = [b for b in branches if best_value - b.lambda_value <= tie_tol]

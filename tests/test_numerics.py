@@ -9,6 +9,7 @@ from scipy.special import erfi, zeta
 from lyaprec.errors import AccuracyError, DomainError, EvaluationError
 from lyaprec.numerics import (
     QuadratureSpec,
+    _boundary_kernels,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -82,6 +83,31 @@ def test_sqrt_singularity_edges():
     assert integrate_inverse_sqrt_singularity(lambda y: 1.0 / np.sqrt(y), 0.0) == 0.0
     with pytest.raises(DomainError):
         integrate_inverse_sqrt_singularity(lambda y: y, -1.0)
+
+
+# (rho, b, K0, K1, dK0/db) from 50-digit mpmath quadrature of the u form,
+# with breakpoints crowding toward u = 1 at the layer width rho/(2b)
+KERNEL_REFERENCE = [
+    (0.1, 1.0, 2.1545017411809585015, 1.0544389449807869399, -1.108084441666641318),
+    (0.05, 18.0, 1.03406808032160604, 0.39691396963136216386, -0.0046069717376897748052),
+    (1e-8, 200.0, 1.0460620292524288439, 0.37937473167724369926, -0.00023036217364063462667),
+    (1e-12, 50.0, 1.2764784850538721718, 0.60947781488579193627, -0.0055330145390087912656),
+    (0.1, 1e-12, 9.9999999999333327782, 3.333333333319999815, -66.666666665546659265),
+    (0.3, 0.0, 3.3333333333333334567, 1.1111111111111111522, -7.4074074074074079557),
+    (2.0, 5.0, 0.3487253066187536846, 0.12322518010319963816, -0.0035706414670311772673),
+    (1e-4, 1e4, 1.0003604900795743704, 0.3337604751942297884, -4.6048419084765786108e-8),
+]
+
+
+@pytest.mark.parametrize("rho,b,k0,k1,dk0", KERNEL_REFERENCE)
+def test_boundary_kernels_match_mpmath(rho, b, k0, k1, dk0):
+    got = _boundary_kernels(b, rho)
+    for value, ref in zip(got, (k0, k1, dk0)):
+        assert value.shape == (1,)
+        assert float(value[0]) == pytest.approx(ref, rel=1e-14)
+    # an array call that includes b agrees with the scalar call
+    K0, K1, dK0 = _boundary_kernels([0.5 * b, b], rho)
+    assert K0[1] == pytest.approx(k0, rel=1e-14)
 
 
 def test_polylog_anchors():

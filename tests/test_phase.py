@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lyaprec.errors import DomainError
+from lyaprec import phase
+from lyaprec.errors import DomainError, EvaluationError
 from lyaprec.phase import (
     appendix_b_checks,
     clausius_clapeyron_check,
@@ -76,6 +77,29 @@ def test_traced_points_balance_branch_values(mini_curve):
 def test_trace_rejects_one_phase_region():
     with pytest.raises(DomainError):
         trace_phase_curve([0.2])
+
+
+@pytest.mark.parametrize(
+    "stage,name,beta",
+    [("fold window", "_extrema_window", None),
+     ("coexistence Newton", "_refine_bracket", 0.5 * (7.0049 + 10.1037))],
+)
+def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
+    def fail(*args, **kwargs):
+        raise EvaluationError("forced", abscissa=0.5)
+
+    monkeypatch.setattr(phase, name, fail)
+    with pytest.raises(EvaluationError) as info:
+        trace_phase_curve([0.05])
+    exc = info.value
+    assert (exc.stage, exc.rho) == (stage, 0.05)
+    # the Newton stage starts at the middle of the window (7.0049, 10.1037)
+    if beta is None:
+        assert exc.beta is None
+    else:
+        assert exc.beta == pytest.approx(beta, rel=1e-4)
+    assert str(exc) == "%s at rho=0.05, beta=%r: forced" % (stage, exc.beta)
+    assert exc.abscissa == 0.5
 
 
 def test_slope_check_needs_three_points(mini_curve):

@@ -8,9 +8,15 @@ from scipy import integrate as sp_integrate
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from lyaprec.errors import DomainError
+from lyaprec import variational
+from lyaprec.errors import AccuracyError, DomainError, NumericsError
 from lyaprec.meanfield import mf_lambda
-from lyaprec.numerics import inverse_softplus, softplus, softplus_diff
+from lyaprec.numerics import (
+    _boundary_kernels,
+    inverse_softplus,
+    softplus,
+    softplus_diff,
+)
 from lyaprec.phase import trace_phase_curve
 from lyaprec.variational import (
     ModelParams,
@@ -156,6 +162,16 @@ def test_three_branches_next_to_window_edges(rho, u, edge):
     assert len(lyapunov(params).all_branches) == 3
 
 
+@pytest.mark.parametrize("rho", [0.12322, 0.12326, 0.123275])
+def test_three_branches_with_folds_inside_one_scan_cell(rho):
+    # just under rho_c the hump and the dip are closer than the scan step
+    beta_lo, beta_hi = _three_branch_window(rho)
+    res = lyapunov(ModelParams(rho, 0.5 * (beta_lo + beta_hi)))
+    assert len(res.all_branches) == 3
+    d = [b.d for b in res.all_branches]
+    assert d == sorted(d) and d[0] < d[1] < d[2]
+
+
 @given(
     st.floats(min_value=0.01, max_value=0.3),
     st.floats(min_value=0.2, max_value=20.0),
@@ -190,6 +206,72 @@ def test_lambda_of_d_at_tiny_rho(rho, beta):
     assert lambda_of_d(res.selected.d, params) == pytest.approx(
         res.lambda_, rel=1e-14
     )
+
+
+# in-domain inputs at tiny rho or tiny beta, where the boundary logit
+# cannot resolve the roots, plus (1e-6, 40) with three branches; in the
+# last one g rounds to zero at the left end of the interval in d
+@pytest.mark.parametrize(
+    "rho,beta",
+    [(1e-8, 5.0), (1e-8, 200.0), (1e-6, 15.0), (3e-7, 10.0), (0.1, 1e-12),
+     (1e-12, 50.0), (1e-6, 40.0), (6.0484092008514074e-05, 8.418923363519257e-13)],
+)
+def test_tiny_rho_and_tiny_beta_roots(rho, beta):
+    res = lyapunov(ModelParams(rho, beta))
+    tol = 1e-9 * max(1.0, abs(res.lambda_))
+    assert beta / 3.0 + math.log(rho) - tol <= res.lambda_
+    assert res.lambda_ <= beta / 3.0 + math.log1p(rho) + tol
+    d = np.array([b.d for b in res.all_branches])
+    g = d * (1.0 + rho) * _boundary_kernels(beta * d * d, rho)[0] - 1.0
+    assert np.all(np.abs(g) <= 1e-12)
+    if (rho, beta) == (1e-8, 200.0):
+        assert len(d) == 3
+        # 40-digit mpmath solve of the boundary equation in d
+        assert res.lambda_ == pytest.approx(48.688482478329387, rel=1e-13)
+
+
+def test_selected_value_matches_logit_route():
+    # the branch value through K1 against the adaptive route in the
+    # boundary logit, which shares no quadrature with it
+    rng = np.random.default_rng(2015)
+    for _ in range(200):
+        rho = math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
+        params = ModelParams(rho, rng.uniform(0.0, 60.0))
+        res = lyapunov(params)
+        assert lambda_of_h1(res.selected.h1, params) == pytest.approx(
+            res.lambda_, rel=1e-9, abs=1e-9
+        )
+
+
+def _raise_on_call(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+# each stage of lyapunov, reached at an input where the step runs first:
+# at (0.1, 5.5) the scan leaves open whether g crosses zero at the dip,
+# (0.3, 1.0) has no fold
+@pytest.mark.parametrize(
+    "stage,name,rho,beta",
+    [
+        ("scan", "_boundary_kernels", 0.1, 5.5),
+        ("fold polish", "_refine_bracket", 0.1, 5.5),
+        ("root refinement", "_refine_bracket", 0.3, 1.0),
+        ("branch values", "_branch_values", 0.3, 1.0),
+    ],
+)
+def test_errors_name_stage_and_point(monkeypatch, stage, name, rho, beta):
+    monkeypatch.setattr(
+        variational, name, _raise_on_call(AccuracyError("forced", 1.0, 1.0))
+    )
+    with pytest.raises(AccuracyError) as info:
+        lyapunov(ModelParams(rho, beta))
+    exc = info.value
+    assert (exc.stage, exc.rho, exc.beta) == (stage, rho, beta)
+    assert str(exc) == "%s at rho=%r, beta=%r: forced" % (stage, rho, beta)
+    assert isinstance(exc, NumericsError) and exc.best_estimate == 1.0
 
 
 def test_beta_zero_closed_form():
@@ -252,8 +334,9 @@ def test_root_shift_identity():
     )
 
 
-# the mini_curve amplitudes plus one far below and one just under rho_c
-@pytest.mark.parametrize("rho", [0.04, 0.07, 0.1, 0.001, 0.1232])
+# the mini_curve amplitudes, two far below (the fold window at 1e-6 is
+# out of reach of the boundary logit) and one just under rho_c
+@pytest.mark.parametrize("rho", [0.04, 0.07, 0.1, 0.001, 0.1232, 1e-6])
 def test_tie_at_transition(rho):
     (p,) = trace_phase_curve([rho])
     res = lyapunov(ModelParams(p.rho, p.beta_cr))
