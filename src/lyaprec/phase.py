@@ -20,13 +20,10 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .errors import DomainError, NumericsError, _stage
-from .numerics import _refine_bracket, inverse_softplus, polylog, softplus_diff
+from .numerics import _boundary_kernels, _refine_bracket, inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
-    _branch_values,
-    _gap_and_slope,
     _residual_target,
-    big_F,
     big_F_scan,
     correction_integral,
     lambda_of_d,
@@ -247,7 +244,7 @@ def locate_critical_point(
     candidates.sort()
 
     if beta_level is None:
-        beta_c = 0.25 * big_F(a_c, rho_c) ** 2
+        beta_c = float(_level(softplus_diff(a_c, math.log(rho_c)), rho_c)[0][0])
     else:
         beta_c = float(np.atleast_1d(blevel(np.array([a_c]), rho_c))[0])
     d_c = dmap(a_c, rho_c, beta_c)
@@ -260,112 +257,115 @@ def locate_critical_point(
     )
 
 
-def _fold(rho, lo, hi, sign):
-    """Logit and big_F value of the hump (sign=+1) or dip (sign=-1) of
-    big_F inside (lo, hi), by bounded Brent."""
-    res = minimize_scalar(
-        lambda x: -sign * big_F(x, rho),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-11},
-    )
-    return float(res.x), -sign * float(res.fun)
+def _level(b, rho):
+    """Beta level B(b) = b*(1+rho)^2*K0(b)^2 = (big_F/2)^2, K1, and
+    phi = 1 + 2b*K0'/K0 = d(log B)/d(log b) at an array of b = beta*d^2.
+    The roots at beta solve B(b) = beta; phi has the sign of g'(d)."""
+    K0, K1, dK0 = _boundary_kernels(b, rho)
+    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + 2.0 * b * dK0 / K0
 
 
 def _extrema_window(rho):
-    """Local max/min pair of the boundary function, or None if monotone.
+    """(b_hump, b_dip, beta_lo, beta_hi): the folds of the beta level B(b)
+    and the window (B(b_dip), B(b_hump)) strictly inside which three
+    branches exist. The folds, independent of beta, are the zeros of phi,
+    which tends to 1 at both ends and is negative exactly between them.
+    One kernel call scans phi at 96 log-spaced b on [rho/16, 16], the top
+    pushed out while phi <= 0 there; with no negative node, bounded Brent
+    polishes the minimum at the lowest, and a minimum >= 0 raises
+    DomainError (no window). _refine_bracket refines both zeros of phi."""
+    top = 16.0
+    while True:
+        b = np.geomspace(rho / 16.0, top, 96)
+        phi = _level(b, rho)[2]
+        if phi[-1] > 0:
+            break
+        top *= 16.0
 
-    Returns (a_hump, a_dip, beta_lo, beta_hi): three branches exist
-    exactly for beta strictly inside (beta_lo, beta_hi). The right edge
-    of the scan is pushed out while the function is still descending
-    there, so a dip lying far to the right (small rho) is never missed.
-    """
-    lr = math.log(rho)
-    hi = lr + 12.0
-    for _ in range(40):
-        a = np.linspace(lr, hi, 2048)
-        Fv = big_F_scan(a, rho)
-        desc = np.diff(Fv) < 0
-        if not desc.any():
-            return None
-        if desc[-1]:
-            hi += 10.0
-            continue
-        i = int(np.argmax(desc))
-        j = int(len(desc) - 1 - np.argmax(desc[::-1]))
-        break
-    else:
-        return None
-    if j < i:
-        return None
-    a_hump, f_hump = _fold(rho, float(a[max(i - 1, 0)]), float(a[i + 1]), 1)
-    a_dip, f_dip = _fold(rho, float(a[j]), float(a[min(j + 2, len(a) - 1)]), -1)
-    if not (a_hump < a_dip and f_hump > f_dip):
-        return None
-    return a_hump, a_dip, 0.25 * f_dip ** 2, 0.25 * f_hump ** 2
+    def slope(x):
+        return float(_level(x, rho)[2][0])
+
+    i = int(np.argmin(phi))
+    if phi[i] >= 0 and 0 < i < b.size - 1:
+        # a hump and a dip closer than the scan step hide next to node i
+        res = minimize_scalar(lambda t: slope(math.exp(t)), method="bounded",
+                              bounds=(math.log(b[i - 1]), math.log(b[i + 1])),
+                              options={"xatol": 1e-12})
+        j = i + int(res.x > math.log(b[i]))
+        b, phi = np.insert(b, j, math.exp(res.x)), np.insert(phi, j, res.fun)
+    neg = np.flatnonzero(phi < 0)
+    if neg.size == 0:
+        raise DomainError("no coexistence window at rho=%r; the amplitude is "
+                          "at or above the critical value" % rho)
+    folds = [_refine_bracket(slope, b[k], b[k + 1], phi[k], phi[k + 1], 1e-12)
+             for k in (neg[0] - 1, neg[-1])]
+    beta_hi, beta_lo = (float(x) for x in _level(np.array(folds), rho)[0])
+    return float(folds[0]), float(folds[1]), beta_lo, beta_hi
+
+
+def _outer_roots(rho, beta, b, b_hump, b_dip):
+    """Roots of r(b) = sqrt(B(b)/beta) - 1 = g(d) on the low piece
+    [beta*(rho/(1+rho))^2, b_hump] and the high piece [b_dip, beta] by
+    safeguarded Newton from the pair b, both in one kernel call per step.
+    As r' = (r+1)*phi/(2b), log(1+r) has slope phi/2 in log b; a step
+    there that leaves its sign bracket bisects it in log b instead. Stops
+    at |r| <= _residual_target(beta); returns b, K1 and phi."""
+    lo = np.array([beta * (rho / (1.0 + rho)) ** 2, b_dip])
+    hi = np.array([b_hump, beta])
+    b = np.clip(b, lo, hi)
+    for _ in range(60):
+        B, K1, phi = _level(b, rho)
+        r = np.sqrt(B / beta) - 1.0
+        done = np.abs(r) <= _residual_target(beta)
+        if done.all():
+            return b, K1, phi
+        lo, hi = np.where(r < 0, b, lo), np.where(r < 0, hi, b)
+        step = b * (beta / B) ** (1.0 / phi)
+        b = np.where(done, b, np.where((lo < step) & (step < hi), step, np.sqrt(lo * hi)))
+    raise NumericsError("the outer roots did not reach the residual target")
 
 
 def _trace_one(rho):
     with _stage("fold window", rho):
-        win = _extrema_window(rho)
-    if win is None:
-        raise DomainError(
-            "no coexistence window at rho=%r; the amplitude is at or above "
-            "the critical value" % rho
-        )
-    a_hump, a_dip, lo, hi = win
-    L_hump, L_dip = softplus_diff([a_hump, a_dip], math.log(rho))
+        b_hump, b_dip, lo, hi = _extrema_window(rho)
     beta = 0.5 * (lo + hi)
+    b = np.array([0.0, beta])  # each root starts at the outer end of its piece
     for _ in range(60):
         with _stage("coexistence Newton", rho, beta):
-            # the outer roots of g(d), each the single root on its monotone
-            # piece: [rho/(1+rho), d_hump] and [d_dip, 1]
-            ends = np.array([rho / (1.0 + rho), math.sqrt(L_hump / beta),
-                             math.sqrt(L_dip / beta), 1.0])
-            g = _gap_and_slope(ends, rho, beta)[0]
-
-            def residual(x, beta=beta):
-                return float(_gap_and_slope(np.array([x]), rho, beta)[0][0])
-
-            tol = _residual_target(beta)
-            d1 = float(_refine_bracket(residual, ends[0], ends[1], g[0], g[1], tol))
-            d2 = float(_refine_bracket(residual, ends[2], ends[3], g[2], g[3], tol))
-            lam1, lam2 = (float(x) for x in _branch_values(np.array([d1, d2]), rho, beta))
-        gap = lam2 - lam1
-        if gap < 0:
-            lo = beta
-        else:
-            hi = beta
+            b, K1, phi = _outer_roots(rho, beta, b, b_hump, b_dip)
+        d = np.sqrt(b / beta)
+        d1, d2 = float(d[0]), float(d[1])
+        # branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1
+        lam1, lam2 = b + math.log1p(rho) - 2.0 * (1.0 + rho) * b * d * K1
+        gap = float(lam2 - lam1)
+        lo, hi = (beta, hi) if gap < 0 else (lo, beta)
         # each branch has dlambda/dbeta = (beta*d^2 + log(1+rho) - lambda)/(2*beta)
         step = -2.0 * beta * gap / (beta * (d2 * d2 - d1 * d1) - gap)
         # only a Newton step may stop the loop: bisecting toward a window
         # edge that the gap never crosses must not pass for convergence
         if abs(step) <= 1e-13 * beta:
             break
-        beta = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
+        new = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
+        # warm start on the tangent of each root: d(log b)/d(log beta) = 1/phi
+        b, beta = b * (new / beta) ** (1.0 / phi), new
     else:
         with _stage("coexistence Newton", rho, beta):
             raise NumericsError("the branch-value gap did not converge to zero")
-    return PhaseCurvePoint(
-        rho=rho,
-        beta_cr=beta + step,
-        d1=d1,
-        d2=d2,
-        jump_drho=(d2 - d1) / rho,
-        jump_dbeta=0.5 * (d2 * d2 - d1 * d1),
-    )
+    return PhaseCurvePoint(rho=rho, beta_cr=beta + step, d1=d1, d2=d2,
+                           jump_drho=(d2 - d1) / rho,
+                           jump_dbeta=0.5 * (d2 * d2 - d1 * d1))
 
 
 def trace_phase_curve(rho_values):
     """First-order curve points for each amplitude (all must be < rho_c).
 
-    Per amplitude: bracket the three-branch beta window off the
-    extrema of the boundary function, then solve for the crossing of
-    the outer branch values by safeguarded Newton in beta, with each
-    outer root of the boundary residual g(d) found on its own monotone
-    piece in the occupation d. An amplitude without a window raises
-    DomainError, which is the at-or-above-critical signal; a
-    NumericsError names the stage ("fold window" or "coexistence
+    Per amplitude, in b = beta*d^2: the three-branch window comes from the
+    zeros of the log slope of the beta level, which do not depend on beta;
+    then safeguarded Newton in beta solves for the crossing of the outer
+    branch values, each outer root found by Newton in b on its own
+    monotone piece, warm-started from the previous iterate. An amplitude
+    without a window raises DomainError, the at-or-above-critical signal;
+    a NumericsError names the stage ("fold window" or "coexistence
     Newton") and the (rho, beta) at which it arose.
     """
     return [_trace_one(float(rho)) for rho in rho_values]

@@ -41,6 +41,7 @@ from .numerics import (
     _WEIGHTS15,
     _boundary_kernels,
     _refine_bracket,
+    integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
     softplus,
@@ -326,7 +327,10 @@ def lambda_of_h1(h1, params, spec=None):
 
     The integrand has a square-root zero at x = h1; flipping to
     w = h1 - x puts that at the origin where the quadrature
-    substitution flattens it.
+    substitution flattens it. For h1 > 40 the integrand is sqrt(w) to
+    machine precision wherever x > 40, and the 7/15-point check, exact
+    there, can pass a panel that hides the softplus knee at x = 0; the
+    point x = 40, w = h1 - 40, is then a breakpoint.
     """
     if not params.beta > 0:
         raise DomainError("lambda_of_h1 needs beta > 0")
@@ -341,7 +345,13 @@ def lambda_of_h1(h1, params, spec=None):
     def g(w):
         return np.sqrt(softplus_diff(h1, h1 - w))
 
-    integral = integrate_inverse_sqrt_singularity(g, W, spec or ACCURATE_QUADRATURE)
+    spec = spec or ACCURATE_QUADRATURE
+    cut = h1 - 40.0
+    if cut > 0.0:
+        integral = (integrate_inverse_sqrt_singularity(g, cut, spec)
+                    + integrate_adaptive(g, cut, W, spec))
+    else:
+        integral = integrate_inverse_sqrt_singularity(g, W, spec)
     return top - integral / math.sqrt(params.beta)
 
 

@@ -15,7 +15,7 @@ from lyaprec.phase import (
     near_critical_rho_grid,
     trace_phase_curve,
 )
-from lyaprec.variational import ModelParams, big_F_scan, lambda_of_d
+from lyaprec.variational import ModelParams, big_F_scan, lambda_of_d, solve_h1
 
 
 def test_critical_point_flatness(crit):
@@ -82,7 +82,7 @@ def test_trace_rejects_one_phase_region():
 @pytest.mark.parametrize(
     "stage,name,beta",
     [("fold window", "_extrema_window", None),
-     ("coexistence Newton", "_refine_bracket", 0.5 * (7.0049 + 10.1037))],
+     ("coexistence Newton", "_outer_roots", 0.5 * (7.0049 + 10.1037))],
 )
 def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
     def fail(*args, **kwargs):
@@ -100,6 +100,24 @@ def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
         assert exc.beta == pytest.approx(beta, rel=1e-4)
     assert str(exc) == "%s at rho=0.05, beta=%r: forced" % (stage, exc.beta)
     assert exc.abscissa == 0.5
+
+
+# at tiny rho a fixed-rule scan in the logit cannot resolve the boundary
+# layer and put the dip, and so beta_lo, too high (37.2876 at rho = 1e-8).
+# The upper edge is probed only where solve_h1 can see it: at tiny rho
+# beta_hi is so large that the hump and the dip both fall inside the first
+# cell of its 64-point scan in d, and it finds one branch deep inside.
+@pytest.mark.parametrize(
+    "rho,edge",
+    [(rho, "lo") for rho in (1e-8, 3e-7, 1e-6, 0.05, 0.1232)]
+    + [(rho, "hi") for rho in (1e-3, 0.05, 0.1232)],
+)
+def test_fold_window_edges_bound_three_branches(rho, edge):
+    *_, beta_lo, beta_hi = phase._extrema_window(rho)
+    u = 1e-9 if edge == "lo" else -1e-9
+    beta = beta_lo if edge == "lo" else beta_hi
+    assert len(solve_h1(ModelParams(rho, beta * (1 + u))).roots) == 3
+    assert len(solve_h1(ModelParams(rho, beta * (1 - u))).roots) == 1
 
 
 def test_slope_check_needs_three_points(mini_curve):

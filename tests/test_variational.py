@@ -230,17 +230,30 @@ def test_tiny_rho_and_tiny_beta_roots(rho, beta):
         assert res.lambda_ == pytest.approx(48.688482478329387, rel=1e-13)
 
 
-def test_selected_value_matches_logit_route():
+@pytest.mark.parametrize("beta_max", [60.0, 2000.0])
+def test_selected_value_matches_logit_route(beta_max):
     # the branch value through K1 against the adaptive route in the
     # boundary logit, which shares no quadrature with it
     rng = np.random.default_rng(2015)
     for _ in range(200):
         rho = math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
-        params = ModelParams(rho, rng.uniform(0.0, 60.0))
+        params = ModelParams(rho, rng.uniform(0.0, beta_max))
         res = lyapunov(params)
         assert lambda_of_h1(res.selected.h1, params) == pytest.approx(
             res.lambda_, rel=1e-9, abs=1e-9
         )
+
+
+def test_logit_route_at_large_beta():
+    # with h1 far above 40 the logit integrand is sqrt(w) to machine
+    # precision away from the softplus knee, so a 7/15-point check is exact
+    # on a panel that hides the knee unless the knee gets its own breakpoint
+    params = ModelParams(0.05189386099324022, 1826.693155883632)
+    res = lyapunov(params)
+    # 35-digit mpmath: g(d) = 0 solved in d, branch value through K1
+    assert lambda_of_h1(res.selected.h1, params) == pytest.approx(
+        605.940799099491067, rel=1e-14
+    )
 
 
 def _raise_on_call(exc):
