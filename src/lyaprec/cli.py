@@ -154,7 +154,7 @@ _COMMAND_OPTIONS = {
         ("noise", _choice("none", "constant", "exponential", "uniform"),
          "none", False, "additive-noise law"),
         ("noise_value", float, 0.0, False, "noise level/scale"),
-        ("exact", None, False, True, "enumerate instead of sampling"),
+        ("exact", None, False, True, "exact recursion instead of sampling"),
         ("lln", None, False, True, "attach the growth-concentration report"),
         ("clt", None, False, True, "attach the fluctuation report"),
         ("ladder", int, 4, False, "doublings used by --lln"),

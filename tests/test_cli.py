@@ -129,8 +129,16 @@ def test_lyapunov_rows_respect_bounds(tmp_path):
         assert row[col["meanfield_lambda"]] <= lam + 1e-9
 
 
+def test_exact_at_budget_edge(tmp_path):
+    # the largest n the budget admits at q = 1; paths_used = 2^11584 has
+    # 3488 digits, inside the 4300-digit int/str conversion limit
+    code, data = _run(["simulate", "--n", "11584", "--exact"], tmp_path, "e.json")
+    assert code == 0
+    assert json.loads(data)["estimate"]["paths_used"] == 2 ** 11584
+
+
 def test_exit_codes(monkeypatch, capsys):
-    assert main(["simulate", "--n", "25", "--exact"]) == 3
+    assert main(["simulate", "--n", "11585", "--exact"]) == 3
     assert main(["simulate", "--n", "0"]) == 2
     assert main(["critical", "--rho-lo", "0.3", "--rho-hi", "0.2"]) == 2
     assert main(["critical", "--format", "csv"]) == 2

@@ -1,11 +1,13 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lyaprec.errors import BudgetError, DomainError
+from lyaprec.variational import ModelParams, lyapunov, lyapunov_q
 from lyaprec.simulate import (
     NoiseSpec,
     SimSpec,
@@ -87,9 +89,81 @@ def test_exact_q2_matches_bruteforce():
     assert got == pytest.approx(math.log(total), rel=1e-12)
 
 
+def _enumerated_log_moment(n, q, rho, sigma):
+    # every configuration c in {0..q}^n as one row, summed directly
+    c = np.array(list(itertools.product(range(q + 1), repeat=n)))
+    suffix = np.cumsum(c[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    log_binom = np.log([math.comb(q, k) for k in range(q + 1)])
+    log_w = (
+        log_binom[c].sum(axis=1)
+        + math.log(rho) * c.sum(axis=1)
+        + 0.5 * sigma * sigma * (suffix * (suffix - 1.0)).sum(axis=1)
+    )
+    m = log_w.max()
+    return m + math.log(np.exp(log_w - m).sum())
+
+
+def test_exact_matches_enumeration_on_random_specs():
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for _ in range(200):
+        q = int(rng.integers(1, 4))
+        n = int(rng.integers(1, int(12 / math.log2(q + 1)) + 1))
+        rho, beta = float(rng.uniform(0.01, 0.5)), float(rng.uniform(0.0, 4.0))
+        spec = SimSpec.from_beta(n, rho, beta, q=q)
+        want = _enumerated_log_moment(n, q, rho, spec.sigma)
+        got = exact_moment(spec)
+        assert got.paths_used == (q + 1) ** n
+        worst = max(worst, abs(got.log_moment - want) / want)
+    assert worst <= 1e-14
+
+
+def test_exact_matches_mpmath_reference():
+    # log E x_10 at (rho, beta) = (0.2, 1), summed over all 2^10
+    # configurations in 40-digit mpmath
+    got = exact_moment(SimSpec.from_beta(10, 0.2, 1.0)).log_moment
+    assert got == pytest.approx(1.8987266567322452644, rel=1e-15)
+
+
+@pytest.mark.parametrize("q,n", [(1, 5000), (3, 4729)])
+def test_exact_zero_beta_at_large_n(q, n):
+    # beta = 0: x_n = (1+rho)^n exactly; (3, 4729) is the last q=3 size
+    # inside the budget
+    got = exact_moment(SimSpec.from_beta(n, 0.2, 0.0, q=q)).log_moment
+    assert got == pytest.approx(q * n * math.log1p(0.2), rel=1e-13)
+
+
+def test_exact_rate_approaches_lambda_from_below():
+    lam = lyapunov(ModelParams(0.2, 1.0)).lambda_
+    rate = exact_moment(SimSpec.from_beta(6400, 0.2, 1.0)).log_moment / 6400
+    assert 0.0 < lam - rate <= 1e-5
+
+
+# (rho, beta_cr) on the first-order curve; each q*beta sits 20% below or
+# above it. Worst measured gap of the Richardson value: 3.9e-8 below the
+# curve, 2.6e-5 above it (absolute), where the 1/n^2 term is larger.
+@pytest.mark.parametrize("side,factor,tol", [("low", 0.8, 1e-7), ("high", 1.2, 5e-5)])
+@pytest.mark.parametrize("rho,beta_cr", [(0.04, 8.1754193702), (0.05, 7.5668145803)])
+def test_richardson_recursion_matches_lyapunov_q(rho, beta_cr, side, factor, tol):
+    for q in (1, 2, 3):
+        beta = factor * beta_cr / q
+
+        def rate(n):
+            return exact_moment(SimSpec.from_beta(n, rho, beta, q=q)).log_moment / n
+
+        extrapolated = (4.0 * rate(1600) - rate(400)) / 3.0
+        want = lyapunov_q(ModelParams(rho, beta, q))
+        assert abs(extrapolated - want) <= tol, (side, q)
+
+
 def test_exact_budget_and_noise_rejection():
-    with pytest.raises(BudgetError):
-        exact_moment(SimSpec(n=21, rho=0.2, sigma=0.1))
+    # the first n past the budget for q = 1 and q = 3: refused at once,
+    # where the work itself would take a second or more
+    for q, n in ((1, 11585), (3, 4730)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError):
+            exact_moment(SimSpec.from_beta(n, 0.2, 1.0, q=q))
+        assert time.perf_counter() - t0 < 0.1
     with pytest.raises(DomainError):
         exact_moment(
             SimSpec(n=4, rho=0.2, sigma=0.1, noise=NoiseSpec(kind="constant", value=0.5))
@@ -98,7 +172,7 @@ def test_exact_budget_and_noise_rejection():
 
 def test_method_labels():
     ex = exact_moment(SimSpec(n=3, rho=0.2, sigma=0.1))
-    assert ex.method == "exact_enumeration"
+    assert ex.method == "exact_recursion"
     assert ex.stderr_log == 0.0
     mc = estimate_moment(SimSpec(n=3, rho=0.2, sigma=0.1, paths=64))
     assert mc.method == "monte_carlo"
