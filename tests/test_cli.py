@@ -149,6 +149,14 @@ def test_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_critical_with_narrow_bracket(tmp_path):
+    code, data = _run(["critical", "--rho-lo", "0.1", "--rho-hi", "0.2",
+                       "--format", "json"], tmp_path, "c.json")
+    assert code == 0
+    golden = json.loads((GOLDEN / "critical.json").read_bytes())
+    assert json.loads(data)["rho_c"] == pytest.approx(golden["rho_c"], rel=1e-12)
+
+
 def test_numerics_exit_code(monkeypatch, capsys):
     def boom(rc):
         raise NumericsError("synthetic failure")

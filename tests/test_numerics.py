@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfi, zeta
 
+from lyaprec import numerics
 from lyaprec.errors import AccuracyError, DomainError, EvaluationError
 from lyaprec.numerics import (
     QuadratureSpec,
     _boundary_kernels,
+    _kernel_rule,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -108,6 +112,90 @@ def test_boundary_kernels_match_mpmath(rho, b, k0, k1, dk0):
     # an array call that includes b agrees with the scalar call
     K0, K1, dK0 = _boundary_kernels([0.5 * b, b], rho)
     assert K0[1] == pytest.approx(k0, rel=1e-14)
+
+
+def _boundary_kernels_uncached(b, rho):
+    # the kernel family with its panel rule built afresh on every call
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    b_max = float(b.max())
+    doublings = 1
+    if b_max > 0.0:
+        doublings = max(1, math.ceil(math.log2(2.0 * b_max / min(rho, 1.0))))
+    scale = np.ldexp(1.0, np.arange(-doublings - 1, 0))
+    scale[0] = scale[1]
+    v = np.multiply.outer(scale, numerics._KERNEL_DOUBLING)
+    v[0] = scale[0] * numerics._KERNEL_FIRST
+    v = v.ravel()
+    layer = v * (2.0 - v)
+    weights = np.multiply.outer(scale, numerics._KERNEL_WEIGHTS).reshape(-1, 2)
+    n = v.size
+    buf = np.empty((b.size, 3, n))
+    inv, inv_u2, slope = buf[:, 0], buf[:, 1], buf[:, 2]
+    np.multiply.outer(b, -layer, out=slope)
+    np.expm1(slope, out=slope)
+    np.subtract(rho, slope, out=inv)
+    np.reciprocal(inv, out=inv)
+    np.multiply(inv, (1.0 - v) ** 2, out=inv_u2)
+    slope += 1.0
+    slope *= layer
+    slope *= inv
+    slope *= inv
+    vals = (buf.reshape(-1, n) @ weights).reshape(b.size, 3, 2)
+    vals[:, 2] *= -1.0
+    return vals[:, 0, 0], vals[:, 1, 0], vals[:, 2, 0]
+
+
+def test_boundary_kernels_cached_rule_is_bit_identical():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        rho = 10.0 ** rng.uniform(-8.0, 0.5)
+        size = int(rng.integers(1, 40))
+        b = 10.0 ** rng.uniform(-6.0, 4.0, size)
+        b[rng.random(size) < 0.2] = 0.0
+        for arg in (b, float(b[0]), 0.0):
+            got = _boundary_kernels(arg, rho)
+            want = _boundary_kernels_uncached(arg, rho)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
+def test_kernel_rule_is_read_only():
+    _boundary_kernels([0.5, 3.0], 0.1)
+    for doublings in (1, 5, 40):
+        for arr in _kernel_rule(doublings):
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert _kernel_rule(5) is _kernel_rule(5)
+
+
+def test_kernel_rule_cache_under_threads():
+    # the shared rule cache hands every thread the same values as a
+    # rule built afresh, while threads race to fill it
+    cases = [(10.0 ** k, 0.1) for k in range(-3, 5)]
+    want = [_boundary_kernels_uncached(b, rho) for b, rho in cases]
+    errors = []
+
+    def work():
+        for _ in range(20):
+            for (b, rho), ref in zip(cases, want):
+                got = _boundary_kernels(b, rho)
+                if not all(np.array_equal(g, w) for g, w in zip(got, ref)):
+                    errors.append((b, rho))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _kernel_rule.cache_clear()
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_polylog_anchors():

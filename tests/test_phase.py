@@ -53,6 +53,18 @@ def test_bracket_must_straddle():
         locate_critical_point(rho_bracket=(0.2, 0.3))
 
 
+@pytest.mark.parametrize(
+    "bracket",
+    [(0.07, 0.3), (0.1, 0.2), (0.12, 0.13), (0.08, 0.25),
+     (0.04, 0.3), (0.05, 0.31), (0.11, 0.15)],
+)
+def test_endpoint_from_other_brackets(bracket, crit):
+    # the polish ends at the finite-difference noise floor, not at an error
+    got = locate_critical_point(rho_bracket=bracket)
+    assert got.rho_c == pytest.approx(crit.rho_c, rel=1e-12)
+    assert got.a_c == pytest.approx(crit.a_c, abs=1e-9)
+
+
 def test_traced_points_structure(mini_curve):
     rhos = [p.rho for p in mini_curve]
     assert rhos == sorted(rhos)

@@ -106,6 +106,27 @@ def test_big_f_scan_matches_adaptive():
     assert float(np.max(np.abs(scan - ada))) < 5e-7
 
 
+def _big_f_scan_one_shot(a, rho):
+    # the scan formula in one pass over the whole array
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    L = np.maximum(softplus(a) - math.log1p(rho), 0.0)
+    expo = L[:, None] * (variational._SCAN_U[None, :] ** 2 - 1.0)
+    den = 1.0 - np.exp(expo) / (1.0 + rho)
+    return 2.0 * np.sqrt(L) * (variational._SCAN_W / den).sum(axis=1)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.05, 0.1232, 0.5])
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 1000, 8192])
+def test_big_f_scan_blocks_are_bit_identical(n, rho):
+    rng = np.random.default_rng(n)
+    a = math.log(rho) + rng.uniform(0.0, 12.0, n)
+    if n:
+        a[0] = math.log(rho)
+    got = big_F_scan(a, rho)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _big_f_scan_one_shot(a, rho))
+
+
 def test_correction_integral_at_zero():
     for rho in (0.1, 0.5, 2.0):
         assert correction_integral(0.0, rho) == pytest.approx(
