@@ -20,10 +20,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .errors import DomainError, NumericsError, _stage
-from .numerics import _boundary_kernels, _refine_bracket, inverse_softplus, polylog, softplus_diff
+from .numerics import inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
-    _residual_target,
+    _folds,
+    _level,
+    _level_roots,
+    _polish_folds,
     big_F_scan,
     correction_integral,
     lambda_of_d,
@@ -260,83 +263,23 @@ def locate_critical_point(
     )
 
 
-def _level(b, rho):
-    """Beta level B(b) = b*(1+rho)^2*K0(b)^2 = (big_F/2)^2, K1, and
-    phi = 1 + 2b*K0'/K0 = d(log B)/d(log b) at an array of b = beta*d^2.
-    The roots at beta solve B(b) = beta; phi has the sign of g'(d)."""
-    K0, K1, dK0 = _boundary_kernels(b, rho)
-    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + 2.0 * b * dK0 / K0
-
-
-def _extrema_window(rho):
-    """(b_hump, b_dip, beta_lo, beta_hi): the folds of the beta level B(b)
-    and the window (B(b_dip), B(b_hump)) strictly inside which three
-    branches exist. The folds, independent of beta, are the zeros of phi,
-    which tends to 1 at both ends and is negative exactly between them.
-    One kernel call scans phi at 96 log-spaced b on [rho/16, 16], the top
-    pushed out while phi <= 0 there; with no negative node, bounded Brent
-    polishes the minimum at the lowest, and a minimum >= 0 raises
-    DomainError (no window). _refine_bracket refines both zeros of phi."""
-    top = 16.0
-    while True:
-        b = np.geomspace(rho / 16.0, top, 96)
-        phi = _level(b, rho)[2]
-        if phi[-1] > 0:
-            break
-        top *= 16.0
-
-    def slope(x):
-        return float(_level(x, rho)[2][0])
-
-    i = int(np.argmin(phi))
-    if phi[i] >= 0 and 0 < i < b.size - 1:
-        # a hump and a dip closer than the scan step hide next to node i
-        res = minimize_scalar(lambda t: slope(math.exp(t)), method="bounded",
-                              bounds=(math.log(b[i - 1]), math.log(b[i + 1])),
-                              options={"xatol": 1e-12})
-        j = i + int(res.x > math.log(b[i]))
-        b, phi = np.insert(b, j, math.exp(res.x)), np.insert(phi, j, res.fun)
-    neg = np.flatnonzero(phi < 0)
-    if neg.size == 0:
-        raise DomainError("no coexistence window at rho=%r; the amplitude is "
-                          "at or above the critical value" % rho)
-    folds = [_refine_bracket(slope, b[k], b[k + 1], phi[k], phi[k + 1], 1e-12)
-             for k in (neg[0] - 1, neg[-1])]
-    beta_hi, beta_lo = (float(x) for x in _level(np.array(folds), rho)[0])
-    return float(folds[0]), float(folds[1]), beta_lo, beta_hi
-
-
-def _outer_roots(rho, beta, b, b_hump, b_dip):
-    """Roots of r(b) = sqrt(B(b)/beta) - 1 = g(d) on the low piece
-    [beta*(rho/(1+rho))^2, b_hump] and the high piece [b_dip, beta] by
-    safeguarded Newton from the pair b, both in one kernel call per step.
-    As r' = (r+1)*phi/(2b), log(1+r) has slope phi/2 in log b; a step
-    there that leaves its sign bracket bisects it in log b instead. Stops
-    at |r| <= _residual_target(beta); returns b, K1 and phi."""
-    lo = np.array([beta * (rho / (1.0 + rho)) ** 2, b_dip])
-    hi = np.array([b_hump, beta])
-    b = np.clip(b, lo, hi)
-    for _ in range(60):
-        B, K1, phi = _level(b, rho)
-        r = np.sqrt(B / beta) - 1.0
-        done = np.abs(r) <= _residual_target(beta)
-        if done.all():
-            return b, K1, phi
-        lo, hi = np.where(r < 0, b, lo), np.where(r < 0, hi, b)
-        step = b * (beta / B) ** (1.0 / phi)
-        b = np.where(done, b, np.where((lo < step) & (step < hi), step, np.sqrt(lo * hi)))
-    raise NumericsError("the outer roots did not reach the residual target")
-
-
 def _trace_one(rho):
     with _stage("fold window", rho):
-        b_hump, b_dip, lo, hi = _extrema_window(rho)
+        b, _, phi, cells = _folds(rho)
+        if cells is None:
+            raise DomainError("no coexistence window at rho=%r; the amplitude is "
+                              "at or above the critical value" % rho)
+        (b_hump, b_dip), (hi, lo) = _polish_folds(rho, b[cells], phi[cells])
     beta = 0.5 * (lo + hi)
-    b = np.array([0.0, beta])  # each root starts at the outer end of its piece
+    d = np.array([0.0, 1.0])  # each root starts at the outer end of its piece
     for _ in range(60):
         with _stage("coexistence Newton", rho, beta):
-            b, K1, phi = _outer_roots(rho, beta, b, b_hump, b_dip)
-        d = np.sqrt(b / beta)
+            # the low piece [beta*(rho/(1+rho))^2, b_hump], the high one
+            # [b_dip, beta], as d = sqrt(b/beta)
+            d, K1, phi, _, _ = _level_roots(
+                rho, beta, np.array([rho / (1.0 + rho), math.sqrt(b_dip / beta)]),
+                np.array([math.sqrt(b_hump / beta), 1.0]), d)
+        b = beta * d * d
         d1, d2 = float(d[0]), float(d[1])
         # branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1
         lam1, lam2 = b + math.log1p(rho) - 2.0 * (1.0 + rho) * b * d * K1
@@ -349,8 +292,9 @@ def _trace_one(rho):
         if abs(step) <= 1e-13 * beta:
             break
         new = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
-        # warm start on the tangent of each root: d(log b)/d(log beta) = 1/phi
-        b, beta = b * (new / beta) ** (1.0 / phi), new
+        # warm start on the tangent of each root: d(log b)/d(log beta) = 1/phi,
+        # so d(log d)/d(log beta) = (1/phi - 1)/2
+        d, beta = d * (new / beta) ** (0.5 / phi - 0.5), new
     else:
         with _stage("coexistence Newton", rho, beta):
             raise NumericsError("the branch-value gap did not converge to zero")

@@ -10,17 +10,20 @@ logit h(1), written a below. Stationarity reduces to the scalar
 equation big_F(a; rho) = 2*sqrt(beta), each solution is one branch, and
 the growth rate is the largest branch value.
 
-The solver works in the branch's mean occupation d instead, with
-L = log((1+e^a)/(1+rho)) = beta*d^2. With the kernel family
+The solver works in b = beta*d^2 = L = log((1+e^a)/(1+rho)) instead,
+with d the branch's mean occupation. With the kernel family
 K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2-1))),
-big_F = 2*sqrt(L)*(1+rho)*K0(L), so the boundary equation reads
-g(d) = d*(1+rho)*K0(beta*d^2) - 1 = 0, every root lies in
-[rho/(1+rho), 1], and the branch value is
+big_F = 2*sqrt(b)*(1+rho)*K0(b), so the boundary equation reads
+B(b) = beta for the beta level B(b) = b*(1+rho)^2*K0(b)^2, every root
+lies in [beta*(rho/(1+rho))^2, beta], and the branch value is
 beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1(beta*d^2). One fixed-rule
 kernel call gives K0, K1 and dK0/db at a whole array of b. For each rho,
-big_F has at most one hump and one dip, so g has at most three monotone
-pieces in d, each holding at most one root. The route through the
-boundary logit, lambda_of_h1, stays as an independent check.
+B has at most one hump and one dip, the zeros of phi = 1 + 2b*K0'/K0,
+which do not depend on beta: one fold scan (_folds) splits the root
+interval into at most three monotone pieces, each holding at most one
+root, and one Newton solver in log b (_level_roots) refines them all; the
+phase module traces the first-order curve on the same two operations. The
+route through the boundary logit, lambda_of_h1, stays as a check.
 
 Everything downstream (phase structure, jump fits, simulators) builds
 on the operations here.
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, xlogy
 
-from .errors import DomainError, _stage
+from .errors import DomainError, NumericsError, _stage
 from .numerics import (
     ACCURATE_QUADRATURE,
     _NODES15,
@@ -125,9 +128,9 @@ class OptimizerProfile:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Stationary boundary logits in increasing order, each with the
-    bracket it was refined from (as logits), and the mean occupations d
-    of the same roots, which the solve works in."""
+    """Stationary boundary logits in increasing order, each with the last
+    Newton bracket in b = beta*d^2 around it, mapped to logits, and the
+    mean occupations d of the same roots."""
 
     roots: list
     brackets: list
@@ -214,23 +217,98 @@ def big_F_scan(a_values, rho):
     return 2.0 * np.sqrt(L) * sums
 
 
-_SCAN_POINTS = 64
+# positions of the fold scan's 32 nodes on its log range
+_FOLD_GRID = np.linspace(0.0, 1.0, 32)
 
 
-def _gap_and_slope(d, rho, beta):
-    """Boundary residual g(d) = d*(1+rho)*K0(beta*d^2) - 1 and its log
-    slope 1 + 2b*K0'(b)/K0(b), which has the sign of g'(d), at an array of d."""
-    b = beta * d * d
-    K0, _, dK0 = _boundary_kernels(b, rho)
-    return d * (1.0 + rho) * K0 - 1.0, 1.0 + 2.0 * b * dK0 / K0
+def _level(b, rho):
+    """Beta level B(b) = b*(1+rho)^2*K0(b)^2 = (big_F/2)^2, K1, and
+    phi = 1 + 2b*K0'/K0 = d(log B)/d(log b) at an array of b = beta*d^2.
+    The roots at beta solve B(b) = beta; phi has the sign of g'(d)."""
+    K0, K1, dK0 = _boundary_kernels(b, rho)
+    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + 2.0 * b * dK0 / K0
+
+
+def _folds(rho):
+    """Fold scan of the beta level B(b): b, B and phi at the scan nodes,
+    and the node indices of the scan cells of the hump and the dip as a
+    (2, 2) array (row 0 the hump, row 1 the dip), None where B has no fold.
+
+    The folds do not depend on beta: they are the zeros of phi, which
+    tends to 1 at both ends and is negative exactly between them. One
+    kernel call scans phi at 32 log-spaced b on [rho/16, 16], the top
+    pushed out while phi <= 0 there. Just under rho_c a hump and a dip
+    can both hide between two nodes; a parabola through three nodes dips
+    at most an eighth of their second difference below the middle one,
+    so a lowest node within a quarter of it (the higher terms took the
+    dip to 0.11 at most over rho in [0.10, 0.14]) is searched by bounded
+    Brent in log b, and a negative minimum joins the scan. Only its sign
+    matters: at 1e-8 in log b, phi is off its minimum by about 1e-16."""
+    top = 16.0
+    while True:
+        b = rho / 16.0 * (16.0 * top / rho) ** _FOLD_GRID
+        B, _, phi = _level(b, rho)
+        if not phi[-1] <= 0:
+            break
+        top *= 16.0
+    i = int(np.argmin(phi))
+    if 0 < i < b.size - 1 and 0 <= 4.0 * phi[i] <= phi[i - 1] - 2.0 * phi[i] + phi[i + 1]:
+        res = minimize_scalar(lambda t: _level(math.exp(t), rho)[2][0], method="bounded",
+                              bounds=(math.log(b[i - 1]), math.log(b[i + 1])),
+                              options={"xatol": 1e-8})
+        if res.fun < 0:
+            x = math.exp(res.x)
+            j = i + int(x > b[i])
+            B_x, _, phi_x = _level(x, rho)
+            b, B, phi = np.insert(b, j, x), np.insert(B, j, B_x), np.insert(phi, j, phi_x)
+    neg = np.flatnonzero(phi < 0)
+    cells = np.array([[neg[0] - 1, neg[0]], [neg[-1], neg[-1] + 1]]) if neg.size else None
+    return b, B, phi, cells
+
+
+def _polish_folds(rho, b, phi):
+    """The zeros of phi in the given fold cells (rows of b and phi), each
+    refined to |phi| <= 1e-12, and B there."""
+    def slope(x):
+        return float(_level(x, rho)[2][0])
+
+    x = np.array([_refine_bracket(slope, *b_k, *phi_k, 1e-12) for b_k, phi_k in zip(b, phi)])
+    return x, _level(x, rho)[0]
 
 
 def _residual_target(beta):
     """Target for |g| in a root solve: the 1e-10 residual on big_F, which
     is 1e-10/(2*sqrt(beta)) on g, and at most 1e-13. The tighter bound
-    costs about one more secant step; it matters where g is flat, as
-    the error left in d is |g|/g'(d)."""
-    return min(0.5e-10 / math.sqrt(beta), 1e-13)
+    costs about one more Newton step; it matters where g is flat, as
+    the error left in d is |g|/g'(d). Past beta = 3e9 the first bound is
+    below the rounding of g, and 4 ulp of 1 is the floor."""
+    return max(min(0.5e-10 / math.sqrt(beta), 1e-13), 4.0 * np.finfo(float).eps)
+
+
+def _level_roots(rho, beta, neg, pos, d):
+    """Roots of B(b) = beta, one per monotone piece of B, by safeguarded
+    Newton in log b from d, all pieces in one kernel call per step. The
+    iterate is carried as d = sqrt(b/beta), exact where b underflows, and
+    a piece as its ends neg and pos in d, where
+    r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is <= 0 and > 0. As
+    log(1+r) has slope phi in log d, the step is d/(1+r)^(1/phi); one
+    that leaves the bracket bisects it in log d instead. Stops at
+    |r| <= _residual_target(beta); returns d, K1, phi, neg and pos."""
+    tol = _residual_target(beta)
+    d = np.clip(d, np.minimum(neg, pos), np.maximum(neg, pos))
+    for _ in range(60):
+        b = beta * d * d
+        K0, K1, dK0 = _boundary_kernels(b, rho)
+        r = d * (1.0 + rho) * K0 - 1.0
+        phi = 1.0 + 2.0 * b * dK0 / K0
+        done = np.abs(r) <= tol
+        neg, pos = np.where(r <= 0, d, neg), np.where(r <= 0, pos, d)
+        if done.all():
+            return d, K1, phi, neg, pos
+        step = d / (1.0 + r) ** (1.0 / phi)
+        inside = (step - neg) * (step - pos) < 0
+        d = np.where(done, d, np.where(inside, step, np.sqrt(neg * pos)))
+    raise NumericsError("the roots did not reach the residual target")
 
 
 def _branch_values(d, rho, beta):
@@ -243,99 +321,66 @@ def _branch_values(d, rho, beta):
 def solve_h1(params):
     """All stationary boundary logits at (rho, beta), beta > 0.
 
-    The boundary equation big_F(a) = 2*sqrt(beta) is solved in the mean
-    occupation d, as g(d) = d*(1+rho)*K0(beta*d^2) - 1 = 0. Because
-    1/(1+rho) <= K0 <= 1/rho, every root lies in [rho/(1+rho), 1], where
-    g starts <= 0 and ends > 0. One kernel call on a 64-point scan gives
-    g and the sign of g'; each sign change of g' is a fold. Between folds
-    g is monotone, so each piece whose end values straddle zero holds
-    one root, bracketed by the scan nodes inside it and refined to
-    |g| <= min(1e-10/(2*sqrt(beta)), 1e-13); the first bound is the
-    1e-10 residual on big_F. A fold is polished on g' only where the
-    scan leaves open whether g crosses zero there; where a node next to
-    it already lies past zero, that node ends the piece instead, as each
-    side of it still holds one crossing at most. Just under rho_c a hump
-    and a dip can both fall between two nodes, where g' keeps its sign;
-    a local minimum of the log slope close enough to zero is then
-    minimized by bounded Brent, and a negative minimum splits the cell
-    pair into the two folds. Logits follow from
-    a = inverse_softplus(beta*d^2 + log(1+rho)).
+    The boundary equation big_F(a) = 2*sqrt(beta) is solved in
+    b = beta*d^2, with d the mean occupation, as B(b) = beta. Because
+    1/(1+rho) <= K0 <= 1/rho, every root lies in
+    [beta*(rho/(1+rho))^2, beta], where r = sqrt(B/beta) - 1 starts <= 0
+    and ends >= 0. The folds of B (_folds) split that interval into at
+    most three monotone pieces, each holding one root where r changes
+    sign across it. A fold is polished only where beta reaches the B
+    values at the nodes of its scan cell; elsewhere the cell holds no
+    root, and its nodes end the pieces on either side. The roots of all
+    pieces are refined together by Newton in log b (_level_roots), each
+    started on the tangent at its nearest scan node, to |r| <=
+    _residual_target(beta), the 1e-10 residual on big_F where double
+    precision holds it. Logits follow from a = inverse_softplus(b + log(1+rho)).
     """
     if not params.beta > 0:
         raise DomainError("solve_h1 needs beta > 0")
     rho, beta = params.rho, params.beta
-    d = np.linspace(rho / (1.0 + rho), 1.0, _SCAN_POINTS)
-    with _stage("scan", rho, beta):
-        g, slope = _gap_and_slope(d, rho, beta)
-
-    def gap(x):
-        return float(_gap_and_slope(np.array([x]), rho, beta)[0][0])
-
-    def log_slope(x):
-        return float(_gap_and_slope(np.array([x]), rho, beta)[1][0])
-
-    rising = slope > 0
-    # each fold lies in a cell (lo, hi, slope and g at both ends) whose
-    # ends straddle a sign change of the log slope
-    cells = [(d[i], d[i + 1], slope[i], slope[i + 1], g[i], g[i + 1])
-             for i in np.flatnonzero(rising[:-1] != rising[1:])]
-    # g <= 0 at d = rho/(1+rho) and g > 0 at d = 1 hold exactly; where b is
-    # tiny, g sits within rounding of zero at the left end and may land
-    # on the wrong side of it
-    ends, g_ends = [d[0]], [min(g[0], 0.0)]
-    with _stage("fold polish", rho, beta):
-        # near rho_c a hump and a dip closer than the scan step hide between
-        # nodes where the log slope stays positive; a parabola through three
-        # nodes dips at most an eighth of their second difference below the
-        # middle one, the rest covers the cubic term
-        mid = slope[1:-1]
-        for i in 1 + np.flatnonzero(
-            (mid > 0) & (mid <= slope[:-2]) & (mid <= slope[2:])
-            & (mid <= slope[:-2] - 2.0 * mid + slope[2:])
-        ):
-            res = minimize_scalar(log_slope, bounds=(d[i - 1], d[i + 1]),
-                                  method="bounded", options={"xatol": 1e-12 * d[i]})
-            if res.fun < 0:
-                x, s_x = float(res.x), float(res.fun)
-                g_x = gap(x)
-                cells += [(d[i - 1], x, slope[i - 1], s_x, g[i - 1], g_x),
-                          (x, d[i + 1], s_x, slope[i + 1], g_x, g[i + 1])]
-        for lo, hi, s_lo, s_hi, g_lo, g_hi in sorted(cells):
-            # +1 at a hump, -1 at a dip
-            sign = 1.0 if s_lo > 0 else -1.0
-            x, g_x = (lo, g_lo) if sign * g_lo >= sign * g_hi else (hi, g_hi)
-            if sign * g_x <= 0:
-                x = _refine_bracket(log_slope, lo, hi, s_lo, s_hi, 1e-12)
-                g_x = gap(x)
-            # else g is already past zero at that end, so each side of it
-            # holds one crossing at most: it serves as the piece end
-            ends.append(x)
-            g_ends.append(g_x)
-    ends.append(d[-1])
-    g_ends.append(max(g[-1], 0.0))
-
-    tol = _residual_target(beta)
-    roots, brackets = [], []
+    b_min = beta * (rho / (1.0 + rho)) ** 2
+    ends, B_ends = np.array([b_min, beta]), np.array([0.0, math.inf])
+    with _stage("fold search", rho, beta):
+        b, B, phi, cells = _folds(rho)
+        if cells is not None:
+            b_c, B_c = b[cells], B[cells]
+            # r keeps one sign on a fold's cell where beta lies below the
+            # node values of the hump or above those of the dip: the two
+            # nodes then end the pieces on either side; else the polished
+            # fold ends both. A cell outside [b_min, beta] ends no piece.
+            polish = (b_c[:, 0] < beta) & (b_c[:, 1] > b_min) & np.array(
+                [beta >= B_c[0].min(), beta <= B_c[1].max()])
+            if polish.any():
+                x, B_x = _polish_folds(rho, b_c[polish], phi[cells[polish]])
+                b_c[polish], B_c[polish] = x[:, None], B_x[:, None]
+            ends = np.concatenate(([b_min], b_c.ravel(), [beta]))
+            B_ends = np.concatenate(([0.0], B_c.ravel(), [math.inf]))
+    # r <= 0 at b_min and r >= 0 at beta hold exactly (B_ends pins them),
+    # though where b is tiny r sits within rounding of zero at b_min; a
+    # piece whose ends lie on both sides of beta holds one root
+    keep = (ends >= b_min) & (ends <= beta)
+    ends, above = ends[keep], B_ends[keep] > beta
+    d_ends = np.sqrt(ends / beta)
+    d_ends[0], d_ends[-1] = rho / (1.0 + rho), 1.0
+    i = np.flatnonzero(above[:-1] != above[1:])
+    lo, hi = d_ends[i], d_ends[i + 1]
+    neg, pos = np.where(above[i], hi, lo), np.where(above[i], lo, hi)
+    # each piece starts on the tangent at its scan node with B nearest
+    # beta, where that lands inside the piece; else at its outer end,
+    # where Newton does not overshoot
+    d_scan = np.sqrt(b / beta)
+    inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
+    k = np.argmin(np.where(inside, np.abs(np.log(B / beta)), np.inf), axis=1)
+    start = d_scan[k] * (beta / B[k]) ** (0.5 / phi[k])
+    start = np.where(inside[np.arange(k.size), k] & (lo < start) & (start < hi), start,
+                     np.where(i == 0, lo, np.where(hi == 1.0, hi, np.sqrt(lo * hi))))
     with _stage("root refinement", rho, beta):
-        for lo, hi, g_lo, g_hi in zip(ends, ends[1:], g_ends, g_ends[1:]):
-            if g_lo * g_hi > 0:
-                continue
-            inner = (d > lo) & (d < hi)
-            xs = np.concatenate(([lo], d[inner], [hi]))
-            gs = np.concatenate(([g_lo], g[inner], [g_hi]))
-            # the first node at or past the root on this monotone piece
-            k = max(int(np.argmax(gs * (g_hi - g_lo) >= 0)), 1)
-            roots.append(_refine_bracket(gap, xs[k - 1], xs[k], gs[k - 1], gs[k], tol))
-            brackets.append((float(xs[k - 1]), float(xs[k])))
+        d, _, _, neg, pos = _level_roots(rho, beta, neg, pos, start)
 
-    def logit(x):
-        return float(inverse_softplus(beta * x * x + math.log1p(rho)))
-
-    return RootSet(
-        roots=[logit(x) for x in roots],
-        brackets=[(logit(lo), logit(hi)) for lo, hi in brackets],
-        d=[float(x) for x in roots],
-    )
+    a, a_lo, a_hi = inverse_softplus(
+        beta * np.array([d, np.minimum(neg, pos), np.maximum(neg, pos)]) ** 2 + math.log1p(rho))
+    return RootSet(roots=a.tolist(), brackets=list(zip(a_lo.tolist(), a_hi.tolist())),
+                   d=d.tolist())
 
 
 def lambda_of_h1(h1, params, spec=None):
@@ -428,8 +473,8 @@ def lyapunov(params):
     the growth rate equals d/rho on the selected branch, and d/dbeta
     equals (beta*d^2 + log(1+rho) - lambda) / (2*beta). Branch values
     come from the K1 kernel at the roots in d. A NumericsError names the
-    stage ("scan", "fold polish", "root refinement" or "branch values")
-    and the (rho, beta) at which it arose.
+    stage ("fold search", "root refinement" or "branch values") and the
+    (rho, beta) at which it arose.
     """
     rho, beta = params.rho, params.beta
     if beta == 0.0:

@@ -16,6 +16,29 @@ settings.register_profile(
 settings.load_profile("stable")
 
 
+# Three-branch windows (beta_lo, beta_hi) = (B(b_dip), B(b_hump)) of the
+# beta level B(b) = b*(1+rho)^2*K0(b)^2, from 34-digit mpmath: each fold
+# solves 1 + 2b*K0'(b)/K0(b) = 0 by findroot in log b, with K0 and K0' by
+# adaptive quadrature in v = 1 - u on breakpoints graded toward the layer
+# of width rho/(2b) at v = 0. They share no code with the solver.
+WINDOW_EDGES = {
+    1e-12: (55.3919719754477951226732450644, 439228839891.864765195926730622),
+    1e-8: (37.0474280079786148048754010351, 43922885.2086789527368373339412),
+    3e-7: (30.3025113440381538613159620158, 1464097.35258376853239246494956),
+    1e-6: (27.9230675802153875422632123303, 439230.059506836491337244166075),
+    1e-3: (14.4535611026598134812661442445, 440.450229309590205926303582964),
+    0.05: (7.00486347635036113596794909072, 10.1037015183850435757473264639),
+    0.1: (5.60120460724405441987583881325, 5.84820749480106684570465399562),
+    0.12: (5.18799535301481145129092871203, 5.19850526567717938770257366991),
+    0.1232: (5.12185832718781213849063610065, 5.12189852267292754340471086366),
+    0.12322: (5.12142889465117439886376065595, 5.12145531277873573122163885001),
+    0.12326: (5.12056702758475974366055464996, 5.12057260397604859422077642029),
+    0.123275: (5.12024233087296665232527712359, 5.12024332831484803346252720953),
+    0.1232819: (5.12009243765847056698735703533, 5.12009243883149516267428456598),
+    0.12328197: (5.12009091258917889616061778714, 5.12009091262607213470366237589),
+}
+
+
 @pytest.fixture(scope="session")
 def crit():
     return locate_critical_point()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import WINDOW_EDGES
 from lyaprec import phase
 from lyaprec.errors import DomainError, EvaluationError
 from lyaprec.phase import (
@@ -15,7 +16,15 @@ from lyaprec.phase import (
     near_critical_rho_grid,
     trace_phase_curve,
 )
-from lyaprec.variational import ModelParams, big_F_scan, lambda_of_d, solve_h1
+from lyaprec.variational import (
+    ModelParams,
+    _folds,
+    _polish_folds,
+    big_F_scan,
+    lambda_of_d,
+    lyapunov,
+    solve_h1,
+)
 
 
 def test_critical_point_flatness(crit):
@@ -93,8 +102,8 @@ def test_trace_rejects_one_phase_region():
 
 @pytest.mark.parametrize(
     "stage,name,beta",
-    [("fold window", "_extrema_window", None),
-     ("coexistence Newton", "_outer_roots", 0.5 * (7.0049 + 10.1037))],
+    [("fold window", "_folds", None),
+     ("coexistence Newton", "_level_roots", 0.5 * (7.0049 + 10.1037))],
 )
 def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
     def fail(*args, **kwargs):
@@ -114,22 +123,30 @@ def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
     assert exc.abscissa == 0.5
 
 
-# at tiny rho a fixed-rule scan in the logit cannot resolve the boundary
-# layer and put the dip, and so beta_lo, too high (37.2876 at rho = 1e-8).
-# The upper edge is probed only where solve_h1 can see it: at tiny rho
-# beta_hi is so large that the hump and the dip both fall inside the first
-# cell of its 64-point scan in d, and it finds one branch deep inside.
-@pytest.mark.parametrize(
-    "rho,edge",
-    [(rho, "lo") for rho in (1e-8, 3e-7, 1e-6, 0.05, 0.1232)]
-    + [(rho, "hi") for rho in (1e-3, 0.05, 0.1232)],
-)
+# the window edges are mpmath values (WINDOW_EDGES), independent of the fold
+# finder that gives both the tracer's window and the pieces of solve_h1;
+# at tiny rho the hump lies at b = 2.28*rho and beta_hi near 0.44/rho
+@pytest.mark.parametrize("edge", ["lo", "mid", "hi"])
+@pytest.mark.parametrize("rho", [1e-12, 1e-8, 3e-7, 1e-6, 1e-3, 0.05, 0.1, 0.12, 0.1232])
 def test_fold_window_edges_bound_three_branches(rho, edge):
-    *_, beta_lo, beta_hi = phase._extrema_window(rho)
-    u = 1e-9 if edge == "lo" else -1e-9
-    beta = beta_lo if edge == "lo" else beta_hi
-    assert len(solve_h1(ModelParams(rho, beta * (1 + u))).roots) == 3
-    assert len(solve_h1(ModelParams(rho, beta * (1 - u))).roots) == 1
+    beta_lo, beta_hi = WINDOW_EDGES[rho]
+    if edge == "mid":
+        inside, outside = 0.5 * (beta_lo + beta_hi), None
+    elif edge == "lo":
+        inside, outside = beta_lo * (1 + 1e-9), beta_lo * (1 - 1e-9)
+    else:
+        inside, outside = beta_hi * (1 - 1e-9), beta_hi * (1 + 1e-9)
+    assert len(solve_h1(ModelParams(rho, inside)).roots) == 3
+    assert len(lyapunov(ModelParams(rho, inside)).all_branches) == 3
+    if outside is not None:
+        assert len(solve_h1(ModelParams(rho, outside)).roots) == 1
+
+
+@pytest.mark.parametrize("rho", sorted(WINDOW_EDGES))
+def test_fold_window_matches_mpmath(rho):
+    b, _, phi, cells = _folds(rho)
+    _, (beta_hi, beta_lo) = _polish_folds(rho, b[cells], phi[cells])
+    assert (beta_lo, beta_hi) == pytest.approx(WINDOW_EDGES[rho], rel=1e-13)
 
 
 def test_slope_check_needs_three_points(mini_curve):

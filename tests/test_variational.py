@@ -8,6 +8,7 @@ from scipy import integrate as sp_integrate
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
+from conftest import WINDOW_EDGES
 from lyaprec import variational
 from lyaprec.errors import AccuracyError, DomainError, NumericsError
 from lyaprec.meanfield import mf_lambda
@@ -183,10 +184,12 @@ def test_three_branches_next_to_window_edges(rho, u, edge):
     assert len(lyapunov(params).all_branches) == 3
 
 
-@pytest.mark.parametrize("rho", [0.12322, 0.12326, 0.123275])
+@pytest.mark.parametrize("rho", [0.12322, 0.12326, 0.123275, 0.1232819, 0.12328197])
 def test_three_branches_with_folds_inside_one_scan_cell(rho):
-    # just under rho_c the hump and the dip are closer than the scan step
-    beta_lo, beta_hi = _three_branch_window(rho)
+    # just under rho_c the hump and the dip are closer than the scan step;
+    # the last window is 7e-12 wide (relative), past what a dense scan in
+    # the logit resolves, so the edges are the mpmath ones
+    beta_lo, beta_hi = WINDOW_EDGES[rho]
     res = lyapunov(ModelParams(rho, 0.5 * (beta_lo + beta_hi)))
     assert len(res.all_branches) == 3
     d = [b.d for b in res.all_branches]
@@ -251,6 +254,22 @@ def test_tiny_rho_and_tiny_beta_roots(rho, beta):
         assert res.lambda_ == pytest.approx(48.688482478329387, rel=1e-13)
 
 
+# past beta = 3e9 the 1e-10 residual on big_F asks g for less than its
+# rounding; the target is floored at 4 ulp of 1, so these solve
+@pytest.mark.parametrize(
+    "rho,beta",
+    [(0.06696966632581428, 459690599017.4075), (3.0475790976855555, 884025234814.2302),
+     (0.01, 1e16), (0.01, 1e100)],
+)
+def test_large_beta_roots(rho, beta):
+    res = lyapunov(ModelParams(rho, beta))
+    assert beta / 3.0 + math.log(rho) <= res.lambda_ * (1 + 1e-15)
+    assert res.lambda_ <= (beta / 3.0 + math.log1p(rho)) * (1 + 1e-15)
+    d = np.array([b.d for b in res.all_branches])
+    g = d * (1.0 + rho) * _boundary_kernels(beta * d * d, rho)[0] - 1.0
+    assert np.all(np.abs(g) <= 4.0 * np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("beta_max", [60.0, 2000.0])
 def test_selected_value_matches_logit_route(beta_max):
     # the branch value through K1 against the adaptive route in the
@@ -285,14 +304,14 @@ def _raise_on_call(exc):
 
 
 # each stage of lyapunov, reached at an input where the step runs first:
-# at (0.1, 5.5) the scan leaves open whether g crosses zero at the dip,
+# at (0.1, 5.5) beta reaches the scan cell of the dip, which is polished;
 # (0.3, 1.0) has no fold
 @pytest.mark.parametrize(
     "stage,name,rho,beta",
     [
-        ("scan", "_boundary_kernels", 0.1, 5.5),
-        ("fold polish", "_refine_bracket", 0.1, 5.5),
-        ("root refinement", "_refine_bracket", 0.3, 1.0),
+        ("fold search", "_boundary_kernels", 0.1, 5.5),
+        ("fold search", "_refine_bracket", 0.1, 5.5),
+        ("root refinement", "_level_roots", 0.3, 1.0),
         ("branch values", "_branch_values", 0.3, 1.0),
     ],
 )
