@@ -202,7 +202,8 @@ def _boundary_kernels(b, rho):
     b_max = float(b.max())
     doublings = 1
     if b_max > 0.0:
-        doublings = max(1, math.ceil(math.log2(2.0 * b_max / min(rho, 1.0))))
+        # a difference of logs, as b_max/rho can overflow
+        doublings = max(1, math.ceil(math.log2(2.0 * b_max) - math.log2(min(rho, 1.0))))
     layer, u2, weights = _kernel_rule(doublings)
     # 1/D, u^2/D and v*(2-v)*e^(-b*v*(2-v))/D^2, the integrand of -dK0/db,
     # each a row block of one buffer

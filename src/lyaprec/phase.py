@@ -143,6 +143,78 @@ def _default_d_map(a, rho, beta):
     return math.sqrt(max(float(softplus_diff(a, math.log(rho))), 0.0) / beta)
 
 
+# relative band around rho_c inside which the fold scan leaves a bisection
+# step to the finite differences, whose crossing lies 9.1e-9 from rho_c
+# at the default fd_step
+_FOLD_BAND = 1e-7
+
+
+def _no_side(rho):
+    return None
+
+
+def _fold_side(rho_bracket):
+    """Side of rho_c from the fold scan, which finds a window exactly
+    below it: bisects in rho on that to a bracket of relative width
+    _FOLD_BAND, and returns a function giving True where rho lies below
+    the bracket by the band, False where it lies above it by the band,
+    and None in between. Where the scan sees no crossing in rho_bracket,
+    every answer is None."""
+    x_lo, x_hi = rho_bracket
+    if _folds(x_lo)[3] is None or _folds(x_hi)[3] is not None:
+        return _no_side
+    while x_hi - x_lo > _FOLD_BAND * x_lo:
+        mid = 0.5 * (x_lo + x_hi)
+        if _folds(mid)[3] is None:
+            x_hi = mid
+        else:
+            x_lo = mid
+
+    def side(rho):
+        if rho * (1.0 + _FOLD_BAND) <= x_lo:
+            return True
+        if rho * (1.0 - _FOLD_BAND) >= x_hi:
+            return False
+        return None
+
+    return side
+
+
+def _bisect_rho(min_slope, rho_bracket, side):
+    """Bisection in rho on the sign of the minimum beta-level slope.
+
+    side(rho) may decide a step without the slope scan (True below the
+    crossing, False above, None to leave it to the scan). Returns the
+    final bracket, the slope-minimum location at its last midpoint, and
+    whether both ends of that bracket were decided by the scan with
+    s_lo < 0 < s_hi, which places the scan's crossing inside every
+    bracket and so makes each step the one the scan alone would take.
+    """
+    rho_lo, rho_hi = rho_bracket
+    s_lo = s_hi = None
+    if not (side(rho_lo) is True and side(rho_hi) is False):
+        s_lo, _ = min_slope(rho_lo)
+        s_hi, _ = min_slope(rho_hi)
+        if not (s_lo < 0 < s_hi):
+            raise DomainError(
+                "rho bracket does not straddle the critical amplitude: "
+                "slope minima %r and %r" % (s_lo, s_hi)
+            )
+    a_at = None
+    while rho_hi - rho_lo > 1e-8 * rho_lo:
+        mid = 0.5 * (rho_lo + rho_hi)
+        below, s_mid = side(mid), None
+        if below is None:
+            s_mid, a_at = min_slope(mid)
+            below = s_mid < 0
+        if below:
+            rho_lo, s_lo = mid, s_mid
+        else:
+            rho_hi, s_hi = mid, s_mid
+    decided = s_lo is not None and s_hi is not None and s_lo < 0 < s_hi
+    return rho_lo, rho_hi, a_at, decided
+
+
 def locate_critical_point(
     beta_level=None,
     d_map=None,
@@ -159,7 +231,20 @@ def locate_critical_point(
     exact one; passing the flat-profile level function (with
     d_map=lambda a, rho, beta: a and a_domain over (0,1)) runs the same
     finder on the approximation.
+
+    For the exact model the fold scan (variational._folds), which finds
+    a window exactly below rho_c, decides each bisection step and
+    bracket end that lies more than _FOLD_BAND (relative) from its own
+    crossing; the slope scan decides the rest. Where both ends of the
+    final bracket come from the slope scan with opposite signs, its
+    crossing lies in every bracket, so each step is the one the slope
+    scan alone takes and the result is the same bit for bit; else (a
+    large fd_step can move that crossing out of the band) the plain
+    bisection runs again. On the default bracket this takes 6 slope
+    scans where the plain bisection takes 30.
     """
+    if not all(r > 0 for r in rho_bracket):
+        raise DomainError("rho bracket must be positive")
     blevel = beta_level if beta_level is not None else _beta_level
     dmap = d_map if d_map is not None else _default_d_map
     adom = a_domain if a_domain is not None else _default_a_domain
@@ -169,23 +254,15 @@ def locate_critical_point(
         lo, hi = adom(rho)
         return _min_slope(blevel, rho, lo, hi, h)
 
-    rho_lo, rho_hi = rho_bracket
-    s_lo, _ = min_slope(rho_lo)
-    s_hi, _ = min_slope(rho_hi)
-    if not (s_lo < 0 < s_hi):
-        raise DomainError(
-            "rho bracket does not straddle the critical amplitude: "
-            "slope minima %r and %r" % (s_lo, s_hi)
-        )
-    a_at = None
-    while rho_hi - rho_lo > 1e-8 * rho_lo:
-        mid = 0.5 * (rho_lo + rho_hi)
-        s_mid, a_mid = min_slope(mid)
-        if s_mid < 0:
-            rho_lo = mid
-        else:
-            rho_hi = mid
-        a_at = a_mid
+    # the fold scan decides the far steps for the exact model; where the
+    # slope scan's crossing turns out to lie outside the band, the plain
+    # bisection runs again
+    decided = False
+    if beta_level is None:
+        rho_lo, rho_hi, a_at, decided = _bisect_rho(
+            min_slope, rho_bracket, _fold_side(rho_bracket))
+    if not decided:
+        rho_lo, rho_hi, a_at, _ = _bisect_rho(min_slope, rho_bracket, _no_side)
     rho_c = 0.5 * (rho_lo + rho_hi)
     a_c = a_at if a_at is not None else min_slope(rho_c)[1]
 

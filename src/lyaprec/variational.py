@@ -229,6 +229,15 @@ def _level(b, rho):
     return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + 2.0 * b * dK0 / K0
 
 
+class _NegativeNode(Exception):
+    """Ends the hidden-pair search of _folds at its first node with phi < 0,
+    carrying that node as (b, B, phi)."""
+
+    def __init__(self, *node):
+        super().__init__()
+        self.node = node
+
+
 def _folds(rho):
     """Fold scan of the beta level B(b): b, B and phi at the scan nodes,
     and the node indices of the scan cells of the hump and the dip as a
@@ -242,8 +251,10 @@ def _folds(rho):
     at most an eighth of their second difference below the middle one,
     so a lowest node within a quarter of it (the higher terms took the
     dip to 0.11 at most over rho in [0.10, 0.14]) is searched by bounded
-    Brent in log b, and a negative minimum joins the scan. Only its sign
-    matters: at 1e-8 in log b, phi is off its minimum by about 1e-16."""
+    Brent in log b. Only the sign matters, and any negative node splits
+    the hump and the dip cells, so the search stops at its first node
+    with phi < 0 and that node joins the scan. A search that finds none
+    ends at 1e-8 in log b, where phi is off its minimum by about 1e-16."""
     top = 16.0
     while True:
         b = rho / 16.0 * (16.0 * top / rho) ** _FOLD_GRID
@@ -253,13 +264,19 @@ def _folds(rho):
         top *= 16.0
     i = int(np.argmin(phi))
     if 0 < i < b.size - 1 and 0 <= 4.0 * phi[i] <= phi[i - 1] - 2.0 * phi[i] + phi[i + 1]:
-        res = minimize_scalar(lambda t: _level(math.exp(t), rho)[2][0], method="bounded",
-                              bounds=(math.log(b[i - 1]), math.log(b[i + 1])),
-                              options={"xatol": 1e-8})
-        if res.fun < 0:
-            x = math.exp(res.x)
-            j = i + int(x > b[i])
+        def phi_at(t):
+            x = math.exp(t)
             B_x, _, phi_x = _level(x, rho)
+            if phi_x[0] < 0:
+                raise _NegativeNode(x, B_x, phi_x)
+            return phi_x[0]
+
+        try:
+            minimize_scalar(phi_at, method="bounded", bounds=(math.log(b[i - 1]), math.log(b[i + 1])),
+                            options={"xatol": 1e-8})
+        except _NegativeNode as found:
+            x, B_x, phi_x = found.node
+            j = i + int(x > b[i])
             b, B, phi = np.insert(b, j, x), np.insert(B, j, B_x), np.insert(phi, j, phi_x)
     neg = np.flatnonzero(phi < 0)
     cells = np.array([[neg[0] - 1, neg[0]], [neg[-1], neg[-1] + 1]]) if neg.size else None
@@ -367,10 +384,12 @@ def solve_h1(params):
     neg, pos = np.where(above[i], hi, lo), np.where(above[i], lo, hi)
     # each piece starts on the tangent at its scan node with B nearest
     # beta, where that lands inside the piece; else at its outer end,
-    # where Newton does not overshoot
-    d_scan = np.sqrt(b / beta)
-    inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
-    k = np.argmin(np.where(inside, np.abs(np.log(B / beta)), np.inf), axis=1)
+    # where Newton does not overshoot. At a subnormal beta, b/beta and
+    # B/beta overflow to inf at the nodes, which then lie in no piece
+    with np.errstate(over="ignore"):
+        d_scan = np.sqrt(b / beta)
+        inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
+        k = np.argmin(np.where(inside, np.abs(np.log(B / beta)), np.inf), axis=1)
     start = d_scan[k] * (beta / B[k]) ** (0.5 / phi[k])
     start = np.where(inside[np.arange(k.size), k] & (lo < start) & (start < hi), start,
                      np.where(i == 0, lo, np.where(hi == 1.0, hi, np.sqrt(lo * hi))))

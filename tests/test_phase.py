@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import WINDOW_EDGES
-from lyaprec import phase
+from lyaprec import phase, variational
 from lyaprec.errors import DomainError, EvaluationError
 from lyaprec.phase import (
     appendix_b_checks,
@@ -57,21 +57,114 @@ def test_meanfield_critical_digits(mf_crit):
     assert mf_crit.a_c == pytest.approx(0.5, abs=1e-6)
 
 
-def test_bracket_must_straddle():
-    with pytest.raises(DomainError):
+def _plain_bisection(min_slope, rho_bracket, side):
+    # the rho bisection on finite-difference slope minima alone, every
+    # step and both bracket ends from the slope scan, side unused
+    rho_lo, rho_hi = rho_bracket
+    s_lo, _ = min_slope(rho_lo)
+    s_hi, _ = min_slope(rho_hi)
+    if not (s_lo < 0 < s_hi):
+        raise DomainError(
+            "rho bracket does not straddle the critical amplitude: "
+            "slope minima %r and %r" % (s_lo, s_hi)
+        )
+    a_at = None
+    while rho_hi - rho_lo > 1e-8 * rho_lo:
+        mid = 0.5 * (rho_lo + rho_hi)
+        s_mid, a_at = min_slope(mid)
+        if s_mid < 0:
+            rho_lo = mid
+        else:
+            rho_hi = mid
+    return rho_lo, rho_hi, a_at, True
+
+
+def _plain_endpoint(monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(phase, "_bisect_rho", _plain_bisection)
+        return locate_critical_point(**kwargs)
+
+
+def test_bracket_must_straddle(monkeypatch):
+    with pytest.raises(DomainError) as plain:
+        _plain_endpoint(monkeypatch, rho_bracket=(0.2, 0.3))
+    with pytest.raises(DomainError) as info:
         locate_critical_point(rho_bracket=(0.2, 0.3))
+    assert str(info.value).startswith(
+        "rho bracket does not straddle the critical amplitude: slope minima ")
+    assert str(info.value) == str(plain.value)
 
 
-@pytest.mark.parametrize(
-    "bracket",
-    [(0.07, 0.3), (0.1, 0.2), (0.12, 0.13), (0.08, 0.25),
-     (0.04, 0.3), (0.05, 0.31), (0.11, 0.15)],
-)
+@pytest.mark.parametrize("bracket", [(0.0, 0.3), (-0.1, 0.3), (0.05, -1.0)])
+def test_bracket_must_be_positive(bracket):
+    with pytest.raises(DomainError, match="rho bracket must be positive"):
+        locate_critical_point(rho_bracket=bracket)
+
+
+OTHER_BRACKETS = [(0.07, 0.3), (0.1, 0.2), (0.12, 0.13), (0.08, 0.25),
+                  (0.04, 0.3), (0.05, 0.31), (0.11, 0.15)]
+
+
+@pytest.mark.parametrize("bracket", OTHER_BRACKETS)
 def test_endpoint_from_other_brackets(bracket, crit):
     # the polish ends at the finite-difference noise floor, not at an error
     got = locate_critical_point(rho_bracket=bracket)
     assert got.rho_c == pytest.approx(crit.rho_c, rel=1e-12)
     assert got.a_c == pytest.approx(crit.a_c, abs=1e-9)
+
+
+@pytest.mark.parametrize("bracket", [(0.05, 0.3)] + OTHER_BRACKETS)
+def test_fold_scan_steps_match_plain_bisection(monkeypatch, bracket):
+    # the fold scan decides only steps the slope scan decides the same way,
+    # so every field of the endpoint is the plain bisection's, bit for bit
+    assert locate_critical_point(rho_bracket=bracket) == _plain_endpoint(
+        monkeypatch, rho_bracket=bracket)
+
+
+def test_fold_scan_leaves_few_slope_scans(monkeypatch):
+    calls, points = [], []
+    min_slope, scan = phase._min_slope, phase.big_F_scan
+
+    def counted_min_slope(*args, **kwargs):
+        calls.append(1)
+        return min_slope(*args, **kwargs)
+
+    def counted_scan(a_values, rho):
+        points.append(np.size(a_values))
+        return scan(a_values, rho)
+
+    monkeypatch.setattr(phase, "_min_slope", counted_min_slope)
+    monkeypatch.setattr(phase, "big_F_scan", counted_scan)
+    locate_critical_point()
+    # the plain bisection takes 30 slope scans and 133,108 scan points
+    assert len(calls) <= 8
+    assert sum(points) <= 45000
+
+
+@pytest.mark.parametrize("shift", [1e-5, -1e-5, 3e-7, -3e-7])
+def test_misplaced_fold_scan_falls_back(monkeypatch, crit, shift):
+    # a fold scan whose crossing lies outside the band around the
+    # finite-difference one: the far steps it decides are then wrong, the
+    # final bracket is not decided by slope scans at both ends, and the
+    # plain bisection runs again
+    fake_c = crit.rho_c * (1.0 + shift)
+
+    def fake_folds(rho):
+        return None, None, None, (np.array([[0, 1], [2, 3]]) if rho < fake_c else None)
+
+    decided = []
+    bisect = phase._bisect_rho
+
+    def spied(*args):
+        out = bisect(*args)
+        decided.append(out[3])
+        return out
+
+    monkeypatch.setattr(phase, "_folds", fake_folds)
+    monkeypatch.setattr(phase, "_bisect_rho", spied)
+    # crit, from the default bracket, is the plain bisection's endpoint
+    assert locate_critical_point() == crit
+    assert decided == [False, True]
 
 
 def test_traced_points_structure(mini_curve):
@@ -93,6 +186,22 @@ def test_traced_points_balance_branch_values(mini_curve):
         assert lambda_of_d(p.d1, params) == pytest.approx(
             lambda_of_d(p.d2, params), abs=1e-8
         )
+
+
+@pytest.mark.parametrize("rho,most", [(0.1232, 40), (0.12328, 52)])
+def test_near_critical_trace_kernel_calls(monkeypatch, rho, most):
+    # the hump and the dip share a scan cell here; the search between
+    # them stops at its first node with phi < 0
+    calls = []
+    kernels = variational._boundary_kernels
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernels(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_boundary_kernels", counted)
+    trace_phase_curve([rho])
+    assert len(calls) <= most
 
 
 def test_trace_rejects_one_phase_region():

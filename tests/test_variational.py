@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,32 @@ def test_large_beta_roots(rho, beta):
     d = np.array([b.d for b in res.all_branches])
     g = d * (1.0 + rho) * _boundary_kernels(beta * d * d, rho)[0] - 1.0
     assert np.all(np.abs(g) <= 4.0 * np.finfo(float).eps)
+
+
+def test_huge_beta_draws_solve_or_name_stage():
+    # b_max/rho overflows here, so the kernel rule's panel count is taken
+    # from a difference of logs; every draw must solve or fail typed
+    rng = np.random.default_rng(300)
+    for _ in range(30):
+        rho = float(10.0 ** rng.uniform(-12.0, 2.0))
+        beta = float(10.0 ** rng.uniform(300.0, 301.0))
+        try:
+            lam = lyapunov(ModelParams(rho, beta)).lambda_
+        except NumericsError as exc:
+            assert exc.stage in ("fold search", "root refinement", "branch values")
+            continue
+        assert beta / 3.0 + math.log(rho) <= lam * (1 + 1e-15)
+        assert lam <= (beta / 3.0 + math.log1p(rho)) * (1 + 1e-15)
+
+
+# at a subnormal beta the scan nodes sit far above beta, where b/beta
+# overflows; the tangent start must not warn, and the value is unchanged
+@pytest.mark.parametrize("rho,beta,lam", [(0.5, 1e-310, 0.4054651081081644),
+                                          (0.1, 5e-324, 0.09531017980432487)])
+def test_subnormal_beta_solves_without_warnings(rho, beta, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lyapunov(ModelParams(rho, beta)).lambda_ == lam
 
 
 @pytest.mark.parametrize("beta_max", [60.0, 2000.0])
