@@ -85,7 +85,10 @@ def mf_lambda(params):
 
     cuts = [0.0, 2.0 * beta / 3.0]
     if beta > 6.0:
-        x_fold = 2.0 * math.atanh(math.sqrt(1.0 - 6.0 / beta))
+        # 2*atanh(s) with s = sqrt(1 - 6/beta), as 1 - s = (6/beta)/(1 + s),
+        # finite where 6/beta rounds away
+        s = math.sqrt(1.0 - 6.0 / beta)
+        x_fold = 2.0 * math.log1p(s) + math.log(beta / 6.0)
         cuts[1:1] = [min(max(x - lr, 0.0), cuts[-1]) for x in (-x_fold, x_fold)]
     g_cuts = [g(t) for t in cuts]
     roots = []

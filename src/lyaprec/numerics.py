@@ -343,10 +343,13 @@ def softplus(x):
 
 
 def inverse_softplus(y):
-    """Solve log(1 + e^x) = y for x; needs y > 0."""
+    """Solve log(1 + e^x) = y for x; needs y > 0.
+
+    x = log(expm1(y)) = y + log(-expm1(-y)): expm1 keeps every digit of
+    1 - e^-y at small y, where x tends to log(y)."""
     if np.any(np.asarray(y) <= 0):
         raise DomainError("inverse_softplus needs y > 0")
-    return y + np.log1p(-np.exp(-np.asarray(y, dtype=float)))
+    return y + np.log(-np.expm1(-np.asarray(y, dtype=float)))
 
 
 def softplus_diff(x_hi, x_lo):

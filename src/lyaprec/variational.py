@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import expit, xlogy
 
 from .errors import DomainError, NumericsError, _stage
@@ -229,15 +228,6 @@ def _level(b, rho):
     return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + 2.0 * b * dK0 / K0
 
 
-class _NegativeNode(Exception):
-    """Ends the hidden-pair search of _folds at its first node with phi < 0,
-    carrying that node as (b, B, phi)."""
-
-    def __init__(self, *node):
-        super().__init__()
-        self.node = node
-
-
 def _folds(rho):
     """Fold scan of the beta level B(b): b, B and phi at the scan nodes,
     and the node indices of the scan cells of the hump and the dip as a
@@ -249,12 +239,14 @@ def _folds(rho):
     pushed out while phi <= 0 there. Just under rho_c a hump and a dip
     can both hide between two nodes; a parabola through three nodes dips
     at most an eighth of their second difference below the middle one,
-    so a lowest node within a quarter of it (the higher terms took the
-    dip to 0.11 at most over rho in [0.10, 0.14]) is searched by bounded
-    Brent in log b. Only the sign matters, and any negative node splits
-    the hump and the dip cells, so the search stops at its first node
-    with phi < 0 and that node joins the scan. A search that finds none
-    ends at 1e-8 in log b, where phi is off its minimum by about 1e-16."""
+    so while the lowest node is within a quarter of it (the higher terms
+    took the dip to 0.11 at most over rho in [0.10, 0.14]) the scan zooms
+    in: its two cells are scanned again at the same 32 positions. Only
+    the sign matters, so the zoom stops at the first scan with a node
+    where phi < 0, and its nodes from the one before the first negative
+    node to the one after the last join the scan; a zoom that finds none
+    ends once its two cells are narrower than 1e-8 in log b, where phi
+    is off its minimum by about 1e-16."""
     top = 16.0
     while True:
         b = rho / 16.0 * (16.0 * top / rho) ** _FOLD_GRID
@@ -262,22 +254,22 @@ def _folds(rho):
         if not phi[-1] <= 0:
             break
         top *= 16.0
-    i = int(np.argmin(phi))
-    if 0 < i < b.size - 1 and 0 <= 4.0 * phi[i] <= phi[i - 1] - 2.0 * phi[i] + phi[i + 1]:
-        def phi_at(t):
-            x = math.exp(t)
-            B_x, _, phi_x = _level(x, rho)
-            if phi_x[0] < 0:
-                raise _NegativeNode(x, B_x, phi_x)
-            return phi_x[0]
-
-        try:
-            minimize_scalar(phi_at, method="bounded", bounds=(math.log(b[i - 1]), math.log(b[i + 1])),
-                            options={"xatol": 1e-8})
-        except _NegativeNode as found:
-            x, B_x, phi_x = found.node
-            j = i + int(x > b[i])
-            b, B, phi = np.insert(b, j, x), np.insert(B, j, B_x), np.insert(phi, j, phi_x)
+    x, phi_x = b, phi
+    while True:
+        i = int(np.argmin(phi_x))
+        if not (0 < i < x.size - 1 and math.log(x[i + 1] / x[i - 1]) >= 1e-8
+                and 0 <= 4.0 * phi_x[i] <= phi_x[i - 1] - 2.0 * phi_x[i] + phi_x[i + 1]):
+            break
+        x = x[i - 1] * (x[i + 1] / x[i - 1]) ** _FOLD_GRID
+        B_x, _, phi_x = _level(x, rho)
+        neg = np.flatnonzero(phi_x < 0)
+        if neg.size:
+            # merged in order; a rescanned cell end may repeat a node,
+            # which then keeps its first value
+            keep = slice(neg[0] - 1, neg[-1] + 2)
+            b, k = np.unique(np.concatenate((b, x[keep])), return_index=True)
+            B, phi = np.concatenate((B, B_x[keep]))[k], np.concatenate((phi, phi_x[keep]))[k]
+            break
     neg = np.flatnonzero(phi < 0)
     cells = np.array([[neg[0] - 1, neg[0]], [neg[-1], neg[-1] + 1]]) if neg.size else None
     return b, B, phi, cells

@@ -143,6 +143,9 @@ def test_exit_codes(monkeypatch, capsys):
     assert main(["critical", "--rho-lo", "0.3", "--rho-hi", "0.2"]) == 2
     assert main(["critical", "--format", "csv"]) == 2
     assert main(["lyapunov", "--rho", "abc"]) == 2
+    # past beta = 2e17 the mean-field fold is still finite
+    assert main(["lyapunov", "--rho", "0.1", "--beta", "1e18"]) == 0
+    assert main(["meanfield", "--rho", "0.1", "--beta", "1e18"]) == 0
     assert main(["nonsense"]) == 2
     monkeypatch.setenv("LYAPREC_THREADS", "abc")
     assert main(["simulate", "--n", "10", "--paths", "100"]) == 2

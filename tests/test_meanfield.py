@@ -41,6 +41,14 @@ def test_multiple_roots_inside_window():
     assert res.a_star == res.branch_a2
 
 
+@pytest.mark.parametrize("beta", [1e18, 1e300])
+def test_huge_beta_is_finite(beta):
+    # 1 - 6/beta rounds to 1 here; the fold 2*log1p(s) + log(beta/6) stays finite
+    res = mf_lambda(ModelParams(0.1, beta))
+    assert res.a_star == 1.0
+    assert res.lambda_bar == pytest.approx(beta / 3.0, rel=1e-12)
+
+
 def test_level_curve_anchor():
     assert mf_beta_level(0.5, math.exp(-2.0)) == pytest.approx(6.0, rel=1e-14)
     with pytest.raises(DomainError):

@@ -247,6 +247,19 @@ def test_inverse_softplus_domain():
         inverse_softplus(-1.0)
 
 
+def test_inverse_softplus_matches_mpmath():
+    # log(expm1(y)) to a few ulp from y = 1e-300, where it is log(y), up
+    # to 10^2.5; near its zero at y = log(2) the relative error grows
+    # without bound, so |x| < 0.1 is skipped
+    mp = pytest.importorskip("mpmath")
+    ys = 10.0 ** np.linspace(-300.0, 2.5, 1000)
+    with mp.workdps(40):
+        want = np.array([float(mp.log(mp.expm1(mp.mpf(y)))) for y in ys])
+    got = inverse_softplus(ys)
+    far = np.abs(want) >= 0.1
+    assert np.all(np.abs(got - want)[far] <= 1e-15 * np.abs(want)[far])
+
+
 @given(
     st.floats(min_value=-50.0, max_value=50.0),
     st.floats(min_value=-50.0, max_value=50.0),

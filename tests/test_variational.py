@@ -22,6 +22,7 @@ from lyaprec.numerics import (
 from lyaprec.phase import trace_phase_curve
 from lyaprec.variational import (
     ModelParams,
+    _folds,
     big_F,
     big_F_scan,
     correction_integral,
@@ -197,6 +198,31 @@ def test_three_branches_with_folds_inside_one_scan_cell(rho):
     assert d == sorted(d) and d[0] < d[1] < d[2]
 
 
+# the critical amplitude from 30-digit mpmath, where the hump and the dip merge
+RHO_C = 0.12328197774653884798
+
+
+@pytest.mark.parametrize("k", range(2, 16))
+def test_fold_window_exactly_below_rho_c(k):
+    # below rho_c the pair hides between two scan nodes, which the zoom
+    # finds; above it the zoom shows that there is none
+    assert _folds(RHO_C * (1.0 - 10.0 ** -k))[3] is not None
+    assert _folds(RHO_C * (1.0 + 10.0 ** -k))[3] is None
+
+
+def test_fold_cells_bracket_sign_changes():
+    rng = np.random.default_rng(5)
+    near = RHO_C * (1.0 + rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-12.0, -3.0, 200))
+    for rho in np.concatenate((rng.uniform(0.10, 0.14, 400), near)):
+        b, _, phi, cells = _folds(rho)
+        assert np.all(np.diff(b) > 0)
+        assert (cells is not None) == (rho < RHO_C)
+        if cells is not None:
+            (h0, h1), (d0, d1) = cells
+            assert h1 == h0 + 1 and d1 == d0 + 1
+            assert phi[h0] >= 0 > phi[h1] and phi[d0] < 0 <= phi[d1]
+
+
 @given(
     st.floats(min_value=0.01, max_value=0.3),
     st.floats(min_value=0.2, max_value=20.0),
@@ -220,6 +246,18 @@ def test_lambda_representations_agree(mini_curve):
         via_h1 = lambda_of_h1(r, params)
         via_d = lambda_of_d(d_of_h1(r, params), params)
         assert via_h1 == pytest.approx(via_d, abs=1e-10)
+
+
+@pytest.mark.parametrize("rho", [1e-20, 1e-12])
+def test_h1_at_tiny_rho(rho):
+    # h1 = log(expm1(beta*d^2 + log1p(rho))) is about log(rho) here, which
+    # needs every digit of expm1 at an argument near rho
+    mp = pytest.importorskip("mpmath")
+    sel = lyapunov(ModelParams(rho, 1.0)).selected
+    with mp.workdps(40):
+        want = float(mp.log(mp.expm1(mp.mpf(sel.d) ** 2 + mp.log1p(rho))))
+    assert sel.h1 == pytest.approx(want, rel=1e-14)
+    assert sel.h1 == pytest.approx(math.log(rho), rel=1e-6)
 
 
 @pytest.mark.parametrize("rho,beta", [(2e-6, 15.0), (1e-6, 18.0), (2e-6, 8.0)])
