@@ -40,6 +40,8 @@ from .phase import (
     critical_jump_constants,
     jump_coefficients_near_critical,
     locate_critical_point,
+    mf_critical_point,
+    mf_trace,
     near_critical_rho_grid,
     trace_phase_curve,
 )
@@ -89,7 +91,8 @@ __all__ = [
     "MeanFieldResult", "mf_beta_level", "mf_lambda", "mf_gap",
     "mf_phase_curve", "mf_derivative_jumps",
     "PhaseCurvePoint", "CriticalPoint", "ExponentFit", "AsymptoticsReport",
-    "trace_phase_curve", "locate_critical_point", "clausius_clapeyron_check",
+    "trace_phase_curve", "locate_critical_point", "mf_critical_point", "mf_trace",
+    "clausius_clapeyron_check",
     "near_critical_rho_grid", "critical_exponent_fit",
     "jump_coefficients_near_critical", "critical_jump_constants",
     "appendix_b_checks",

@@ -19,18 +19,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, NumericsError
-from .meanfield import (
-    MF_CURVE_RHO_MAX,
-    mf_beta_level,
-    mf_gap,
-    mf_lambda,
-    mf_phase_curve,
-)
+from .meanfield import MF_CURVE_RHO_MAX, mf_gap, mf_lambda, mf_phase_curve
 from .phase import (
     appendix_b_checks,
     clausius_clapeyron_check,
@@ -38,6 +32,8 @@ from .phase import (
     critical_jump_constants,
     jump_coefficients_near_critical,
     locate_critical_point,
+    mf_critical_point,
+    mf_trace,
     near_critical_rho_grid,
     trace_phase_curve,
 )
@@ -49,21 +45,12 @@ from .simulate import (
     exact_moment,
     lln_check,
 )
-from .variational import ModelParams, big_F_scan, lyapunov
+from .variational import ModelParams, _check_rho, big_F_scan, lyapunov
 
 __all__ = ["RunConfig", "main", "main_entry"]
 
 SCHEMA_VERSION = "1"
 THREADS_ENV_VAR = "LYAPREC_THREADS"
-
-# the flat-profile critical-point finder: its level curve diverges at
-# a -> 0+ and a -> 1-, so the search and its stencil stay inside (0, 1)
-_MF_FINDER = {
-    "beta_level": mf_beta_level,
-    "d_map": lambda a, rho, beta: a,
-    "a_domain": lambda rho: (0.02, 0.98),
-    "fd_step": 0.005,
-}
 
 # these commands emit a single JSON record; csv has no sensible layout
 _JSON_ONLY = frozenset({"simulate", "critical", "exponent", "appendixb"})
@@ -282,7 +269,8 @@ def _json_default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
-def _emit_table(rc, columns, rows):
+def _emit_table(rc, columns, rows, **extra):
+    """CSV, or a JSON record whose keys in extra come before the table."""
     if rc.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -296,6 +284,7 @@ def _emit_table(rc, columns, rows):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": rc.command,
+        **extra,
         "columns": list(columns),
         "rows": [list(r) for r in rows],
     }
@@ -306,6 +295,10 @@ def _emit_record(rc, record):
     payload = {"schema_version": SCHEMA_VERSION, "command": rc.command}
     payload.update(record)
     return json.dumps(payload, indent=2, default=_json_default) + "\n"
+
+
+def _endpoint(crit):
+    return {key: getattr(crit, key) for key in ("rho_c", "beta_c", "a_c", "d_c")}
 
 
 def _require_grid(values, name):
@@ -354,8 +347,7 @@ def _run_bigf(rc):
         raise DomainError("give both of --a-min/--a-max or neither")
     rows = []
     for rho in rhos:
-        if rho <= 0:
-            raise DomainError("rho must be positive")
+        _check_rho(rho)
         lr = math.log(rho)
         lo = a_min if a_min is not None else lr + 1e-3
         hi = a_max if a_max is not None else lr + 8.0
@@ -378,8 +370,8 @@ def _mf_overlay(rho):
     beta_bar = mf_phase_curve(rho)
     if beta_bar <= 6.0:
         return beta_bar, None, None
-    delta = mf_gap(beta_bar)
-    return beta_bar, 0.5 * (1.0 - delta), 0.5 * (1.0 + delta)
+    (point,) = mf_trace([beta_bar])
+    return beta_bar, point.d1, point.d2
 
 
 def _run_phase(rc):
@@ -408,20 +400,7 @@ def _run_phase(rc):
             row += list(_mf_overlay(p.rho))
         rows.append(tuple(row))
     if rc.format == "json":
-        crit = locate_critical_point()
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": rc.command,
-            "critical": {
-                "rho_c": crit.rho_c,
-                "beta_c": crit.beta_c,
-                "a_c": crit.a_c,
-                "d_c": crit.d_c,
-            },
-            "columns": columns,
-            "rows": [list(r) for r in rows],
-        }
-        return json.dumps(payload, indent=2, default=_json_default) + "\n"
+        return _emit_table(rc, columns, rows, critical=_endpoint(locate_critical_point()))
     return _emit_table(rc, columns, rows)
 
 
@@ -430,18 +409,8 @@ def _run_critical(rc):
     bracket = (rc.options["rho_lo"], rc.options["rho_hi"])
     if not (0 < bracket[0] < bracket[1]):
         raise DomainError("need 0 < rho_lo < rho_hi")
-    if model == "meanfield":
-        crit = locate_critical_point(rho_bracket=bracket, **_MF_FINDER)
-    else:
-        crit = locate_critical_point(rho_bracket=bracket)
-    return _emit_record(rc, {
-        "model": model,
-        "rho_c": crit.rho_c,
-        "beta_c": crit.beta_c,
-        "a_c": crit.a_c,
-        "d_c": crit.d_c,
-        "candidates": list(crit.candidates),
-    })
+    find = mf_critical_point if model == "meanfield" else locate_critical_point
+    return _emit_record(rc, {"model": model, **asdict(find(rho_bracket=bracket))})
 
 
 def _run_meanfield(rc):
@@ -477,12 +446,7 @@ def _run_simulate(rc):
             "noise": {"kind": noise.kind, "value": noise.value},
         },
         "beta": spec.beta,
-        "estimate": {
-            "log_moment": est.log_moment,
-            "stderr_log": est.stderr_log,
-            "method": est.method,
-            "paths_used": est.paths_used,
-        },
+        "estimate": asdict(est),
         "rate_per_step": est.log_moment / spec.n,
     }
     if opts["lln"]:
@@ -520,19 +484,9 @@ def _run_exponent(rc):
         raise DomainError("need at least 3 points for a fit")
     model = rc.options["model"]
     if model == "meanfield":
-        crit = locate_critical_point(**_MF_FINDER)
-        from .phase import PhaseCurvePoint
-
-        pts = []
-        for t in np.geomspace(window[0] * 1.2, window[1] * 0.8, n_points):
-            beta = crit.beta_c * (1.0 + float(t))
-            delta = mf_gap(beta)
-            rho = math.exp(-beta / 3.0)
-            pts.append(PhaseCurvePoint(
-                rho=rho, beta_cr=beta,
-                d1=0.5 * (1.0 - delta), d2=0.5 * (1.0 + delta),
-                jump_drho=delta / rho, jump_dbeta=delta / 3.0,
-            ))
+        crit = mf_critical_point()
+        ts = np.geomspace(window[0] * 1.2, window[1] * 0.8, n_points)
+        pts = mf_trace(crit.beta_c * (1.0 + ts))
         fit = critical_exponent_fit(pts, crit, window,
                                     boundary_gap=lambda p: p.d2 - p.d1)
         consts = {"D_c": None, "c1": None, "c2": None,
@@ -561,10 +515,7 @@ def _run_exponent(rc):
         "window": [window[0], window[1]],
         "c1_fit": c1_fit,
         "c2_fit": c2_fit,
-        "critical": {
-            "rho_c": crit.rho_c, "beta_c": crit.beta_c,
-            "a_c": crit.a_c, "d_c": crit.d_c,
-        },
+        "critical": _endpoint(crit),
     }
     record.update(consts)
     return _emit_record(rc, record)
@@ -575,16 +526,7 @@ def _run_appendixb(rc):
         rc.options["a"], rc.options["rho"],
         cubic_d=rc.options["cubic_d"], cubic_betas=rc.options["cubic_beta"],
     )
-    return _emit_record(rc, {
-        "rho": rc.options["rho"],
-        "rows": rep.rows,
-        "sandwich_ok": rep.sandwich_ok,
-        "scaled_gap_max": rep.scaled_gap_max,
-        "scaled_gap_bounded": rep.scaled_gap_bounded,
-        "cubic_rows": rep.cubic_rows,
-        "cubic_product_max": rep.cubic_product_max,
-        "cubic_bounded": rep.cubic_bounded,
-    })
+    return _emit_record(rc, {"rho": rc.options["rho"], **asdict(rep)})
 
 
 _DISPATCH = {

@@ -56,13 +56,14 @@ class EvaluationError(NumericsError):
 
 @contextmanager
 def _stage(name, rho, beta=None):
-    """Name the solver step and the model point on a NumericsError that
-    leaves the block; an error already named by an inner step keeps its
-    name."""
+    """Name the solver step and the model point (as plain floats) on a
+    NumericsError that leaves the block; an error already named by an
+    inner step keeps its name."""
     try:
         yield
     except NumericsError as exc:
         if exc.stage is None:
-            exc.stage, exc.rho, exc.beta = name, rho, beta
-            exc.args = ("%s at rho=%r, beta=%r: %s" % (name, rho, beta, exc),)
+            exc.stage, exc.rho = name, float(rho)
+            exc.beta = None if beta is None else float(beta)
+            exc.args = ("%s at rho=%r, beta=%r: %s" % (name, exc.rho, exc.beta, exc),)
         raise

@@ -201,6 +201,9 @@ def _boundary_kernels(b, rho):
     b = np.atleast_1d(np.asarray(b, dtype=float))
     b_max = float(b.max())
     doublings = 1
+    # the fold scan's nodes overflow to inf for rho below about 1e-307
+    if b_max == math.inf:
+        raise NumericsError("kernel argument b overflowed to inf")
     if b_max > 0.0:
         # a difference of logs, as b_max/rho can overflow
         doublings = max(1, math.ceil(math.log2(2.0 * b_max) - math.log2(min(rho, 1.0))))
@@ -316,7 +319,7 @@ def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
         fcand = float(f(cand))
         if not math.isfinite(fcand):
             raise EvaluationError(
-                "non-finite value during root refinement at x=%r" % cand,
+                "non-finite value during root refinement at x=%r" % float(cand),
                 abscissa=cand,
             )
         if abs(fcand) <= tol:

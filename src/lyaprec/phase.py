@@ -20,9 +20,11 @@ from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .errors import DomainError, NumericsError, _stage
+from .meanfield import mf_beta_level, mf_gap
 from .numerics import inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
+    _check_rho,
     _folds,
     _level,
     _level_roots,
@@ -39,6 +41,8 @@ __all__ = [
     "AsymptoticsReport",
     "trace_phase_curve",
     "locate_critical_point",
+    "mf_critical_point",
+    "mf_trace",
     "clausius_clapeyron_check",
     "near_critical_rho_grid",
     "critical_exponent_fit",
@@ -160,15 +164,19 @@ def _fold_side(rho_bracket):
     the bracket by the band, False where it lies above it by the band,
     and None in between. Where the scan sees no crossing in rho_bracket,
     every answer is None."""
+    def below(rho):
+        with _stage("fold search", rho):
+            return _folds(rho)[3] is not None
+
     x_lo, x_hi = rho_bracket
-    if _folds(x_lo)[3] is None or _folds(x_hi)[3] is not None:
+    if not below(x_lo) or below(x_hi):
         return _no_side
     while x_hi - x_lo > _FOLD_BAND * x_lo:
         mid = 0.5 * (x_lo + x_hi)
-        if _folds(mid)[3] is None:
-            x_hi = mid
-        else:
+        if below(mid):
             x_lo = mid
+        else:
+            x_hi = mid
 
     def side(rho):
         if rho * (1.0 + _FOLD_BAND) <= x_lo:
@@ -228,9 +236,8 @@ def locate_critical_point(
     negative-slope interval" (slopes from Richardson-refined central
     differences), then polishes (a, rho) with a 2-D Newton iteration on
     the slope and curvature both vanishing. The default model is the
-    exact one; passing the flat-profile level function (with
-    d_map=lambda a, rho, beta: a and a_domain over (0,1)) runs the same
-    finder on the approximation.
+    exact one; mf_critical_point passes the flat-profile hooks to run the
+    same finder on the approximation.
 
     For the exact model the fold scan (variational._folds), which finds
     a window exactly below rho_c, decides each bisection step and
@@ -245,6 +252,8 @@ def locate_critical_point(
     """
     if not all(r > 0 for r in rho_bracket):
         raise DomainError("rho bracket must be positive")
+    for rho in rho_bracket:
+        _check_rho(rho)
     blevel = beta_level if beta_level is not None else _beta_level
     dmap = d_map if d_map is not None else _default_d_map
     adom = a_domain if a_domain is not None else _default_a_domain
@@ -340,7 +349,38 @@ def locate_critical_point(
     )
 
 
+def mf_critical_point(rho_bracket=(0.05, 0.3)):
+    """locate_critical_point on the flat-profile beta level mf_beta_level,
+    whose endpoint is (e^-2, 6, 1/2) exactly. Occupation and logit
+    coincide there, so d_map is the identity; the level diverges at
+    a -> 0+ and a -> 1-, so the search and its stencil stay inside
+    (0.02, 0.98)."""
+    return locate_critical_point(
+        beta_level=mf_beta_level,
+        d_map=lambda a, rho, beta: a,
+        rho_bracket=rho_bracket,
+        a_domain=lambda rho: (0.02, 0.98),
+        fd_step=0.005,
+    )
+
+
+def mf_trace(betas):
+    """Flat-profile first-order curve points at each beta > 6: amplitude
+    e^(-beta/3), occupations (1 -+ delta)/2 with delta = mf_gap(beta),
+    and the jumps delta/rho and delta/3 of mf_derivative_jumps."""
+    points = []
+    for beta in betas:
+        beta = float(beta)
+        delta = mf_gap(beta)
+        rho = math.exp(-beta / 3.0)
+        points.append(PhaseCurvePoint(
+            rho=rho, beta_cr=beta, d1=0.5 * (1.0 - delta), d2=0.5 * (1.0 + delta),
+            jump_drho=delta / rho, jump_dbeta=delta / 3.0))
+    return points
+
+
 def _trace_one(rho):
+    _check_rho(rho)
     with _stage("fold window", rho):
         b, _, phi, cells = _folds(rho)
         if cells is None:
@@ -388,7 +428,8 @@ def trace_phase_curve(rho_values):
     then safeguarded Newton in beta solves for the crossing of the outer
     branch values, each outer root found by Newton in b on its own
     monotone piece, warm-started from the previous iterate. An amplitude
-    without a window raises DomainError, the at-or-above-critical signal;
+    that is not a positive finite real raises DomainError, as does one
+    without a window, the at-or-above-critical signal;
     a NumericsError names the stage ("fold window" or "coexistence
     Newton") and the (rho, beta) at which it arose.
     """

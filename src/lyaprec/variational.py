@@ -70,6 +70,12 @@ __all__ = [
 ]
 
 
+def _check_rho(rho):
+    """DomainError unless rho is a positive finite real."""
+    if not (rho > 0 and math.isfinite(rho)):
+        raise DomainError("rho must be a positive finite real")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Phase-plane coordinates: amplitude rho > 0, scaled variance beta >= 0,
@@ -80,8 +86,7 @@ class ModelParams:
     q: int = 1
 
     def __post_init__(self):
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise DomainError("rho must be a positive finite real")
+        _check_rho(self.rho)
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise DomainError("beta must be a nonnegative finite real")
         if int(self.q) != self.q or self.q < 1:

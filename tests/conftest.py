@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lyaprec.meanfield import mf_beta_level
-from lyaprec.phase import locate_critical_point, trace_phase_curve
+from lyaprec.phase import locate_critical_point, mf_critical_point, trace_phase_curve
 
 settings.register_profile(
     "stable",
@@ -46,14 +45,7 @@ def crit():
 
 @pytest.fixture(scope="session")
 def mf_crit():
-    # the flat-profile level curve diverges at a -> 0+, so keep the search
-    # and its stencil away from the boundary
-    return locate_critical_point(
-        beta_level=mf_beta_level,
-        d_map=lambda a, rho, beta: a,
-        a_domain=lambda rho: (0.02, 0.98),
-        fd_step=0.005,
-    )
+    return mf_critical_point()
 
 
 @pytest.fixture(scope="session")

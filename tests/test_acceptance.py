@@ -12,15 +12,15 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import expit
 
-from lyaprec.meanfield import mf_beta_level, mf_gap
 from lyaprec.numerics import softplus
 from lyaprec.phase import (
     CriticalPoint,
-    PhaseCurvePoint,
     appendix_b_checks,
     clausius_clapeyron_check,
     critical_exponent_fit,
     locate_critical_point,
+    mf_critical_point,
+    mf_trace,
     near_critical_rho_grid,
     trace_phase_curve,
 )
@@ -99,12 +99,7 @@ def test_criterion_03_critical_point():
 
 def test_criterion_04_meanfield_critical_point():
     t0 = time.perf_counter()
-    crit = locate_critical_point(
-        beta_level=mf_beta_level,
-        d_map=lambda a, rho, beta: a,
-        a_domain=lambda rho: (0.02, 0.98),
-        fd_step=0.005,
-    )
+    crit = mf_critical_point()
     elapsed = time.perf_counter() - t0
     errs = (
         abs(crit.rho_c - math.exp(-2.0)),
@@ -143,22 +138,7 @@ def test_criterion_06_exponent_one_half(crit):
     fit = critical_exponent_fit(points, crit)
 
     mf_critical = CriticalPoint(rho_c=math.exp(-2.0), beta_c=6.0, a_c=0.5, d_c=0.5)
-    mf_points = []
-    for t in np.geomspace(1e-4 * 1.2, 1e-2 * 0.8, 12):
-        beta = 6.0 * (1.0 + float(t))
-        delta = mf_gap(beta)
-        rho = math.exp(-beta / 3.0)
-        d1, d2 = (1.0 - delta) / 2.0, (1.0 + delta) / 2.0
-        mf_points.append(
-            PhaseCurvePoint(
-                rho=rho,
-                beta_cr=beta,
-                d1=d1,
-                d2=d2,
-                jump_drho=(d2 - d1) / rho,
-                jump_dbeta=(d2 ** 2 - d1 ** 2) / 2.0,
-            )
-        )
+    mf_points = mf_trace(6.0 * (1.0 + np.geomspace(1e-4 * 1.2, 1e-2 * 0.8, 12)))
     mf_fit = critical_exponent_fit(
         mf_points, mf_critical, boundary_gap=lambda p: p.d2 - p.d1
     )

@@ -152,6 +152,12 @@ def test_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("rho", ["0", "nan", "inf"])
+def test_bigf_rejects_bad_amplitudes(capsys, rho):
+    assert main(["bigf", "--rho", rho]) == 2
+    assert capsys.readouterr().err == "error: rho must be a positive finite real\n"
+
+
 def test_critical_with_narrow_bracket(tmp_path):
     code, data = _run(["critical", "--rho-lo", "0.1", "--rho-hi", "0.2",
                        "--format", "json"], tmp_path, "c.json")

@@ -14,6 +14,7 @@ from lyaprec.numerics import (
     QuadratureSpec,
     _boundary_kernels,
     _kernel_rule,
+    _refine_bracket,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -64,6 +65,12 @@ def test_adaptive_panel_budget():
 def test_adaptive_bad_abscissa():
     with pytest.raises(EvaluationError):
         integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
+
+def test_refine_bracket_prints_plain_abscissa():
+    with pytest.raises(EvaluationError) as info:
+        _refine_bracket(lambda x: math.nan, np.float64(0.0), np.float64(1.0), -1.0, 1.0, 1e-12)
+    assert str(info.value) == "non-finite value during root refinement at x=0.5"
 
 
 def test_sqrt_singularity_power_laws():

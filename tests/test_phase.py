@@ -5,7 +5,8 @@ import pytest
 
 from conftest import WINDOW_EDGES
 from lyaprec import phase, variational
-from lyaprec.errors import DomainError, EvaluationError
+from lyaprec.errors import DomainError, EvaluationError, NumericsError, _stage
+from lyaprec.meanfield import mf_beta_level, mf_derivative_jumps, mf_lambda
 from lyaprec.phase import (
     appendix_b_checks,
     clausius_clapeyron_check,
@@ -13,6 +14,8 @@ from lyaprec.phase import (
     critical_jump_constants,
     jump_coefficients_near_critical,
     locate_critical_point,
+    mf_critical_point,
+    mf_trace,
     near_critical_rho_grid,
     trace_phase_curve,
 )
@@ -57,6 +60,30 @@ def test_meanfield_critical_digits(mf_crit):
     assert mf_crit.a_c == pytest.approx(0.5, abs=1e-6)
 
 
+def test_mf_critical_point_is_the_flat_profile_finder(mf_crit):
+    # the hooks spelled out as the benchmark's copy of this finder has them
+    hooks = dict(beta_level=mf_beta_level, d_map=lambda a, rho, beta: a,
+                 a_domain=lambda rho: (0.02, 0.98), fd_step=0.005)
+    assert mf_crit == locate_critical_point(**hooks)
+    assert mf_critical_point((0.1, 0.2)) == locate_critical_point(
+        rho_bracket=(0.1, 0.2), **hooks)
+
+
+@pytest.mark.parametrize("beta", [6.5, 8.0, 12.0, 30.0])
+def test_mf_trace_matches_mf_lambda(beta):
+    (p,) = mf_trace([beta])
+    assert (p.rho, p.beta_cr) == (math.exp(-beta / 3.0), beta)
+    res = mf_lambda(ModelParams(p.rho, p.beta_cr))
+    assert res.branch_a1 == pytest.approx(p.d1, abs=1e-9)
+    assert res.branch_a2 == pytest.approx(p.d2, abs=1e-9)
+    assert (p.jump_drho, p.jump_dbeta) == mf_derivative_jumps(beta)
+
+
+def test_mf_trace_needs_beta_above_six():
+    with pytest.raises(DomainError):
+        mf_trace([7.0, 6.0])
+
+
 def _plain_bisection(min_slope, rho_bracket, side):
     # the rho bisection on finite-difference slope minima alone, every
     # step and both bracket ends from the slope scan, side unused
@@ -99,6 +126,39 @@ def test_bracket_must_straddle(monkeypatch):
 def test_bracket_must_be_positive(bracket):
     with pytest.raises(DomainError, match="rho bracket must be positive"):
         locate_critical_point(rho_bracket=bracket)
+
+
+def _no_fold_scan(rho):
+    raise AssertionError("the fold scan ran at rho=%r" % rho)
+
+
+@pytest.mark.parametrize("finder", [locate_critical_point, mf_critical_point])
+@pytest.mark.parametrize("bracket", [(0.05, math.inf), (math.inf, 0.3)])
+def test_bracket_must_be_finite(monkeypatch, finder, bracket):
+    # an infinite end used to bisect forever (exact model) or give a NaN
+    # slope minimum (flat profile); it is refused before any fold scan
+    monkeypatch.setattr(phase, "_folds", _no_fold_scan)
+    with pytest.raises(DomainError, match="^rho must be a positive finite real$"):
+        finder(rho_bracket=bracket)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
+def test_trace_rejects_bad_amplitudes(monkeypatch, rho):
+    monkeypatch.setattr(phase, "_folds", _no_fold_scan)
+    with pytest.raises(DomainError, match="^rho must be a positive finite real$"):
+        trace_phase_curve([rho])
+
+
+@pytest.mark.parametrize("rho", [2e-308, 1e-310, 1e-320])
+def test_tiny_rho_overflow_is_a_named_numerics_error(rho):
+    # the fold scan's nodes overflow to inf here; that is a NumericsError
+    # named by the stage, not a bare OverflowError
+    with pytest.raises(NumericsError) as info:
+        trace_phase_curve([rho])
+    assert (info.value.stage, info.value.rho, info.value.beta) == ("fold window", rho, None)
+    with pytest.raises(NumericsError) as info:
+        locate_critical_point(rho_bracket=(rho, 0.3))
+    assert (info.value.stage, info.value.rho) == ("fold search", rho)
 
 
 OTHER_BRACKETS = [(0.07, 0.3), (0.1, 0.2), (0.12, 0.13), (0.08, 0.25),
@@ -243,8 +303,18 @@ def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
         assert exc.beta is None
     else:
         assert exc.beta == pytest.approx(beta, rel=1e-4)
+    # stored and printed as plain floats, not numpy scalars
+    assert exc.beta is None or type(exc.beta) is float
     assert str(exc) == "%s at rho=0.05, beta=%r: forced" % (stage, exc.beta)
     assert exc.abscissa == 0.5
+
+
+def test_stage_prints_plain_floats():
+    with pytest.raises(NumericsError) as info:
+        with _stage("step", np.float64(0.1), np.float64(5.0)):
+            raise NumericsError("forced")
+    assert (type(info.value.rho), type(info.value.beta)) == (float, float)
+    assert str(info.value) == "step at rho=0.1, beta=5.0: forced"
 
 
 # the window edges are mpmath values (WINDOW_EDGES), independent of the fold

@@ -392,6 +392,15 @@ def test_errors_name_stage_and_point(monkeypatch, stage, name, rho, beta):
     assert isinstance(exc, NumericsError) and exc.best_estimate == 1.0
 
 
+@pytest.mark.parametrize("rho", [2e-308, 1e-310, 1e-320])
+def test_fold_scan_overflow_names_stage(rho):
+    # the fold scan's nodes overflow to inf below about 1e-307; the kernel
+    # refuses b = inf with a NumericsError instead of a bare OverflowError
+    with pytest.raises(NumericsError) as info:
+        lyapunov(ModelParams(rho, 5.0))
+    assert (info.value.stage, info.value.rho, info.value.beta) == ("fold search", rho, 5.0)
+
+
 def test_beta_zero_closed_form():
     for rho in (0.01, 0.5, 5.0):
         res = lyapunov(ModelParams(rho, 0.0))
