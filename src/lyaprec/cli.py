@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,7 +46,7 @@ from .simulate import (
     exact_moment,
     lln_check,
 )
-from .variational import ModelParams, _check_rho, big_F_scan, lyapunov
+from .variational import ModelParams, _check_rho, _solve_row, big_F_scan
 
 __all__ = ["RunConfig", "main", "main_entry"]
 
@@ -167,7 +168,10 @@ _COMMANDS = ("lyapunov", "bigf", "phase", "critical", "meanfield",
              "simulate", "exponent", "appendixb")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="lyaprec",
         description="Growth-rate solver for the fixed-beta moment recursion",
@@ -318,10 +322,10 @@ def _run_lyapunov(rc):
                "meanfield_lambda")
     rows = []
     for rho in rhos:
-        for beta in betas:
-            params = ModelParams(rho, q * beta)
-            res = lyapunov(params)
-            mf = mf_lambda(params)
+        # one fold scan and one Newton solve serve the whole beta row
+        params = [ModelParams(rho, q * beta) for beta in betas]
+        for beta, p, res in zip(betas, params, _solve_row(rho, betas, q)):
+            mf = mf_lambda(p)
             rows.append((
                 rho, beta, q,
                 q * res.lambda_,

@@ -5,7 +5,6 @@ a computation that would exceed a stated resource budget (BudgetError),
 and numerical machinery that failed to converge (NumericsError and its
 subclasses). The CLI maps these onto distinct exit codes.
 """
-from contextlib import contextmanager
 
 
 class DomainError(ValueError):
@@ -20,14 +19,18 @@ class NumericsError(RuntimeError):
     """A numerical routine failed to converge or lost its bracket.
 
     A solver that lets one escape records where: ``stage`` names the
-    step, ``rho`` and ``beta`` the model point (``beta`` is None for a
-    step that runs before any beta is chosen), and the message leads
-    with all three.
+    step, ``rho``, ``beta`` and ``q`` the model point (``beta`` is None
+    for a step that runs before any beta is chosen), and the message
+    leads with them (with ``q`` only where it is not 1). A batched
+    evaluation that fails at one of its elements records that element's
+    position as ``index``.
     """
 
     stage = None
     rho = None
     beta = None
+    q = None
+    index = None
 
 
 class AccuracyError(NumericsError):
@@ -54,16 +57,31 @@ class EvaluationError(NumericsError):
         self.abscissa = abscissa
 
 
-@contextmanager
-def _stage(name, rho, beta=None):
+class _stage:
     """Name the solver step and the model point (as plain floats) on a
     NumericsError that leaves the block; an error already named by an
-    inner step keeps its name."""
-    try:
-        yield
-    except NumericsError as exc:
-        if exc.stage is None:
-            exc.stage, exc.rho = name, float(rho)
+    inner step keeps its name. For a batched step, beta holds one value
+    per element, and the error names the one at its index (the first
+    where the index is unknown). A class, not a generator, as solvers
+    enter one per step."""
+
+    __slots__ = ("name", "rho", "beta", "q")
+
+    def __init__(self, name, rho, beta=None, q=1):
+        self.name, self.rho, self.beta, self.q = name, rho, beta, q
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, NumericsError) and exc.stage is None:
+            beta = self.beta
+            if hasattr(beta, "__len__"):
+                beta = beta[exc.index or 0]
+            exc.stage, exc.rho, exc.q = self.name, float(self.rho), int(self.q)
             exc.beta = None if beta is None else float(beta)
-            exc.args = ("%s at rho=%r, beta=%r: %s" % (name, exc.rho, exc.beta, exc),)
-        raise
+            point = "rho=%r, beta=%r" % (exc.rho, exc.beta)
+            if exc.q != 1:
+                point += ", q=%d" % exc.q
+            exc.args = ("%s at %s: %s" % (self.name, point, exc),)
+        return False

@@ -165,6 +165,9 @@ _KERNEL_WEIGHTS = 0.5 * np.array(
 ).T
 
 
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
+
 @functools.lru_cache(maxsize=64)
 def _kernel_rule(doublings):
     """Nodes and weights of the boundary-kernel rule with `doublings`
@@ -196,14 +199,17 @@ def _boundary_kernels(b, rho):
     power of two at most min(min(rho, 1)/(2*b_max), 1/2). One rule serves
     the whole call, so the values are smooth in b. The 7-point rule on
     the same panels is the embedded check: AccuracyError if the two
-    differ by more than 1e-6 relative.
+    differ by more than 1e-6 relative and by more than subnormal
+    rounding, with the position of the first such b as its index.
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1)
     b_max = float(b.max())
     doublings = 1
     # the fold scan's nodes overflow to inf for rho below about 1e-307
     if b_max == math.inf:
-        raise NumericsError("kernel argument b overflowed to inf")
+        exc = NumericsError("kernel argument b overflowed to inf")
+        exc.index = int(np.argmax(b))
+        raise exc
     if b_max > 0.0:
         # a difference of logs, as b_max/rho can overflow
         doublings = max(1, math.ceil(math.log2(2.0 * b_max) - math.log2(min(rho, 1.0))))
@@ -228,12 +234,20 @@ def _boundary_kernels(b, rho):
     err = np.abs(fine - vals[:, :, 1])
     bad = err > 1e-6 * np.abs(fine)
     if bad.any():
-        i = tuple(np.argwhere(bad)[0])
-        raise AccuracyError(
-            "boundary kernel rules disagree at b=%r" % float(b[i[0]]),
-            best_estimate=float(fine[i]),
-            error_bound=float(err[i]),
-        )
+        # dK0 falls to about -1/(2b^2), subnormal for b from about 1e154
+        # on; each node's term then rounds to a multiple of the smallest
+        # subnormal, and the two rules may differ by one such step per
+        # node without any layer being unresolved
+        bad &= err > layer.size * _SUBNORMAL
+        if bad.any():
+            i = tuple(np.argwhere(bad)[0])
+            exc = AccuracyError(
+                "boundary kernel rules disagree at b=%r" % float(b[i[0]]),
+                best_estimate=float(fine[i]),
+                error_bound=float(err[i]),
+            )
+            exc.index = int(i[0])
+            raise exc
     return fine[:, 0], fine[:, 1], fine[:, 2]
 
 

@@ -21,9 +21,11 @@ kernel call gives K0, K1 and dK0/db at a whole array of b. For each rho,
 B has at most one hump and one dip, the zeros of phi = 1 + 2b*K0'/K0,
 which do not depend on beta: one fold scan (_folds) splits the root
 interval into at most three monotone pieces, each holding at most one
-root, and one Newton solver in log b (_level_roots) refines them all; the
-phase module traces the first-order curve on the same two operations. The
-route through the boundary logit, lambda_of_h1, stays as a check.
+root, and one Newton solver in log b (_level_roots) refines them all. A
+row of many beta at one rho (_solve_row) shares the scan and solves the
+roots of every beta in the same Newton iteration; the phase module traces
+the first-order curve on the same two operations. The route through the
+boundary logit, lambda_of_h1, stays as a check.
 
 Everything downstream (phase structure, jump fits, simulators) builds
 on the operations here.
@@ -290,24 +292,34 @@ def _polish_folds(rho, b, phi):
     return x, _level(x, rho)[0]
 
 
+_RESIDUAL_FLOOR = 4.0 * float(np.finfo(float).eps)
+
+
 def _residual_target(beta):
     """Target for |g| in a root solve: the 1e-10 residual on big_F, which
     is 1e-10/(2*sqrt(beta)) on g, and at most 1e-13. The tighter bound
     costs about one more Newton step; it matters where g is flat, as
     the error left in d is |g|/g'(d). Past beta = 3e9 the first bound is
-    below the rounding of g, and 4 ulp of 1 is the floor."""
-    return max(min(0.5e-10 / math.sqrt(beta), 1e-13), 4.0 * np.finfo(float).eps)
+    below the rounding of g, and 4 ulp of 1 is the floor. Elementwise in
+    beta."""
+    return np.maximum(np.minimum(0.5e-10 / np.sqrt(beta), 1e-13), _RESIDUAL_FLOOR)
 
 
 def _level_roots(rho, beta, neg, pos, d):
     """Roots of B(b) = beta, one per monotone piece of B, by safeguarded
-    Newton in log b from d, all pieces in one kernel call per step. The
-    iterate is carried as d = sqrt(b/beta), exact where b underflows, and
-    a piece as its ends neg and pos in d, where
-    r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is <= 0 and > 0. As
+    Newton in log b from d, all pieces in one kernel call per step; beta
+    is one value, or one per piece where the pieces of several beta at
+    one rho share the solve. The iterate is carried as d = sqrt(b/beta),
+    exact where b underflows, and a piece as its ends neg and pos in d,
+    where r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is <= 0 and > 0. As
     log(1+r) has slope phi in log d, the step is d/(1+r)^(1/phi); one
-    that leaves the bracket bisects it in log d instead. Stops at
-    |r| <= _residual_target(beta); returns d, K1, phi, neg and pos."""
+    that leaves the bracket bisects it in log d instead, as does one where
+    (1+r)^(1/phi) under- or overflows far from a root (the step is then
+    inf or 0). A piece stays where it is while |r| <= _residual_target(beta),
+    its own target, and the solve stops when all pieces meet theirs;
+    returns d, K1, phi, neg and pos. A piece still short of its target
+    after 60 steps raises NumericsError with the piece's position as
+    index."""
     tol = _residual_target(beta)
     d = np.clip(d, np.minimum(neg, pos), np.maximum(neg, pos))
     for _ in range(60):
@@ -316,20 +328,113 @@ def _level_roots(rho, beta, neg, pos, d):
         r = d * (1.0 + rho) * K0 - 1.0
         phi = 1.0 + 2.0 * b * dK0 / K0
         done = np.abs(r) <= tol
-        neg, pos = np.where(r <= 0, d, neg), np.where(r <= 0, pos, d)
+        below = r <= 0
+        neg, pos = np.where(below, d, neg), np.where(below, pos, d)
         if done.all():
             return d, K1, phi, neg, pos
-        step = d / (1.0 + r) ** (1.0 / phi)
+        with np.errstate(divide="ignore", over="ignore"):
+            step = d / (1.0 + r) ** (1.0 / phi)
         inside = (step - neg) * (step - pos) < 0
         d = np.where(done, d, np.where(inside, step, np.sqrt(neg * pos)))
-    raise NumericsError("the roots did not reach the residual target")
+    exc = NumericsError("the roots did not reach the residual target")
+    exc.index = int(np.flatnonzero(~done)[0])
+    raise exc
 
 
-def _branch_values(d, rho, beta):
+def _branch_values(d, rho, beta, K1):
     """Branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1(beta*d^2)
-    at an array of stationary occupations d."""
-    b = beta * d * d
-    return b + math.log1p(rho) - 2.0 * beta * (1.0 + rho) * d ** 3 * _boundary_kernels(b, rho)[1]
+    at an array of stationary occupations d, given K1 there; beta is one
+    value or one per d."""
+    return beta * d * d + math.log1p(rho) - 2.0 * beta * (1.0 + rho) * d ** 3 * K1
+
+
+def _pieces(rho, beta, b, B, phi, b_f, B_f):
+    """The monotone pieces of B on [beta*(rho/(1+rho))^2, beta] that hold
+    a root of B(b) = beta, for an array of beta at one rho, from the fold
+    scan (b, B and phi at its nodes) and each beta's fold ends b_f with
+    their B values B_f, rows of four: each fold's cell nodes, or the
+    polished fold twice (None without folds). Returns each piece's
+    position in beta, its ends neg (r <= 0) and pos (r > 0) in d, and a
+    Newton start inside it, the pieces of each beta in increasing order.
+    """
+    col = beta[:, None]
+    b_min = col * (rho / (1.0 + rho)) ** 2
+    if b_f is None:
+        ends, B_ends = np.concatenate((b_min, col), axis=1), np.array([0.0, math.inf])
+    else:
+        ends = np.concatenate((b_min, b_f, col), axis=1)
+        B_ends = np.concatenate((np.zeros_like(col), B_f, np.full_like(col, math.inf)), axis=1)
+    # r <= 0 at b_min and r >= 0 at beta hold exactly (B_ends pins them),
+    # though where b is tiny r sits within rounding of zero at b_min; a
+    # piece whose ends lie on both sides of beta holds one root. A fold end
+    # outside [b_min, beta] ends no piece: it takes the side and the d of
+    # b_min or of beta, whichever it lies beyond
+    low, high = ends < b_min, ends > col
+    above = (B_ends > col) & ~low | high
+    d_ends = np.where(low, rho / (1.0 + rho), np.sqrt(np.minimum(ends, col) / col))
+    d_ends[:, 0], d_ends[high] = rho / (1.0 + rho), 1.0
+    row, i = np.nonzero(above[:, :-1] != above[:, 1:])
+    lo, hi, up = d_ends[row, i], d_ends[row, i + 1], above[row, i]
+    neg, pos = np.where(up, hi, lo), np.where(up, lo, hi)
+    # each piece starts on the tangent at its scan node with B nearest
+    # beta, where that lands inside the piece; else at its outer end,
+    # where Newton does not overshoot. At a subnormal beta, b/beta and
+    # B/beta overflow to inf at the nodes, which then lie in no piece
+    beta_p = col[row]
+    with np.errstate(over="ignore"):
+        d_scan = np.sqrt(b / beta_p)
+        inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
+        k = np.argmin(np.where(inside, np.abs(np.log(B / beta_p)), np.inf), axis=1)
+    piece = np.arange(k.size)
+    start = d_scan[piece, k] * (beta[row] / B[k]) ** (0.5 / phi[k])
+    start = np.where(inside[piece, k] & (lo < start) & (start < hi), start,
+                     np.where(lo == rho / (1.0 + rho), lo,
+                              np.where(hi == 1.0, hi, np.sqrt(lo * hi))))
+    return row, neg, pos, start
+
+
+def _row_roots(rho, betas, q=1):
+    """The roots in d of B(b) = q*beta for every beta > 0 of a row at one
+    rho: arrays of each root's owner (its position in betas), d, its last
+    Newton bracket in d (neg, pos) and K1 there, each beta's roots in
+    increasing order. The folds do not depend on beta, so the row makes
+    one fold scan, polishes each fold at most once (only if some beta
+    reaches the B values at the nodes of its scan cell), and refines the
+    roots of all beta in one Newton solve (_level_roots). A NumericsError
+    names its stage, rho, the beta at which it arose (the first beta of
+    the row for the scan, the first that needs it for the polish) and q."""
+    betas = np.asarray(betas, dtype=float)
+    live = (betas > 0).nonzero()[0]
+    if not live.size:
+        return (live,) + (np.zeros(0),) * 4
+    beta_q = q * betas[live]
+    with _stage("fold search", rho, betas[live[0]], q):
+        b, B, phi, cells = _folds(rho)
+    b_f = B_f = None
+    if cells is not None:
+        b_c, B_c = b[cells], B[cells]
+        # r keeps one sign on a fold's cell where beta lies below the
+        # node values of the hump or above those of the dip: the two
+        # nodes then end the pieces on either side; else the polished
+        # fold ends both. A cell outside [b_min, beta] ends no piece
+        col = beta_q[:, None]
+        polish = (b_c[:, 0] < col) & (b_c[:, 1] > col * (rho / (1.0 + rho)) ** 2) & np.array(
+            [beta_q >= B_c[0].min(), beta_q <= B_c[1].max()]).T
+        folds = polish.any(axis=0)
+        b_p, B_p = b_c.copy(), B_c.copy()
+        if folds.any():
+            first = live[polish.any(axis=1).nonzero()[0][0]]
+            with _stage("fold search", rho, betas[first], q):
+                x, B_x = _polish_folds(rho, b_c[folds], phi[cells[folds]])
+            b_p[folds], B_p[folds] = x[:, None], B_x[:, None]
+        own = polish[:, :, None]
+        b_f = np.where(own, b_p, b_c).reshape(-1, 4)
+        B_f = np.where(own, B_p, B_c).reshape(-1, 4)
+    row, neg, pos, start = _pieces(rho, beta_q, b, B, phi, b_f, B_f)
+    owner = live[row]
+    with _stage("root refinement", rho, betas[owner], q):
+        d, K1, _, neg, pos = _level_roots(rho, beta_q[row], neg, pos, start)
+    return owner, d, neg, pos, K1
 
 
 def solve_h1(params):
@@ -347,52 +452,14 @@ def solve_h1(params):
     pieces are refined together by Newton in log b (_level_roots), each
     started on the tangent at its nearest scan node, to |r| <=
     _residual_target(beta), the 1e-10 residual on big_F where double
-    precision holds it. Logits follow from a = inverse_softplus(b + log(1+rho)).
+    precision holds it. This is the one-element row of _row_roots, the
+    solve that lyapunov and the CLI share. Logits follow from
+    a = inverse_softplus(b + log(1+rho)).
     """
     if not params.beta > 0:
         raise DomainError("solve_h1 needs beta > 0")
     rho, beta = params.rho, params.beta
-    b_min = beta * (rho / (1.0 + rho)) ** 2
-    ends, B_ends = np.array([b_min, beta]), np.array([0.0, math.inf])
-    with _stage("fold search", rho, beta):
-        b, B, phi, cells = _folds(rho)
-        if cells is not None:
-            b_c, B_c = b[cells], B[cells]
-            # r keeps one sign on a fold's cell where beta lies below the
-            # node values of the hump or above those of the dip: the two
-            # nodes then end the pieces on either side; else the polished
-            # fold ends both. A cell outside [b_min, beta] ends no piece.
-            polish = (b_c[:, 0] < beta) & (b_c[:, 1] > b_min) & np.array(
-                [beta >= B_c[0].min(), beta <= B_c[1].max()])
-            if polish.any():
-                x, B_x = _polish_folds(rho, b_c[polish], phi[cells[polish]])
-                b_c[polish], B_c[polish] = x[:, None], B_x[:, None]
-            ends = np.concatenate(([b_min], b_c.ravel(), [beta]))
-            B_ends = np.concatenate(([0.0], B_c.ravel(), [math.inf]))
-    # r <= 0 at b_min and r >= 0 at beta hold exactly (B_ends pins them),
-    # though where b is tiny r sits within rounding of zero at b_min; a
-    # piece whose ends lie on both sides of beta holds one root
-    keep = (ends >= b_min) & (ends <= beta)
-    ends, above = ends[keep], B_ends[keep] > beta
-    d_ends = np.sqrt(ends / beta)
-    d_ends[0], d_ends[-1] = rho / (1.0 + rho), 1.0
-    i = np.flatnonzero(above[:-1] != above[1:])
-    lo, hi = d_ends[i], d_ends[i + 1]
-    neg, pos = np.where(above[i], hi, lo), np.where(above[i], lo, hi)
-    # each piece starts on the tangent at its scan node with B nearest
-    # beta, where that lands inside the piece; else at its outer end,
-    # where Newton does not overshoot. At a subnormal beta, b/beta and
-    # B/beta overflow to inf at the nodes, which then lie in no piece
-    with np.errstate(over="ignore"):
-        d_scan = np.sqrt(b / beta)
-        inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
-        k = np.argmin(np.where(inside, np.abs(np.log(B / beta)), np.inf), axis=1)
-    start = d_scan[k] * (beta / B[k]) ** (0.5 / phi[k])
-    start = np.where(inside[np.arange(k.size), k] & (lo < start) & (start < hi), start,
-                     np.where(i == 0, lo, np.where(hi == 1.0, hi, np.sqrt(lo * hi))))
-    with _stage("root refinement", rho, beta):
-        d, _, _, neg, pos = _level_roots(rho, beta, neg, pos, start)
-
+    _, d, neg, pos, _ = _row_roots(rho, [beta])
     a, a_lo, a_hi = inverse_softplus(
         beta * np.array([d, np.minimum(neg, pos), np.maximum(neg, pos)]) ** 2 + math.log1p(rho))
     return RootSet(roots=a.tolist(), brackets=list(zip(a_lo.tolist(), a_hi.tolist())),
@@ -472,7 +539,9 @@ def lambda_of_d(d, params):
     """
     if not (0.0 < d < 1.0):
         raise DomainError("lambda_of_d needs d in (0, 1)")
-    return float(_branch_values(np.array([d]), params.rho, params.beta)[0])
+    rho, beta = params.rho, params.beta
+    d = np.array([d])
+    return float(_branch_values(d, rho, beta, _boundary_kernels(beta * d * d, rho)[1])[0])
 
 
 _TIE_RTOL = 5e-11
@@ -488,33 +557,42 @@ def lyapunov(params):
     and the tie flag is set. Partial derivatives ride along: d/drho of
     the growth rate equals d/rho on the selected branch, and d/dbeta
     equals (beta*d^2 + log(1+rho) - lambda) / (2*beta). Branch values
-    come from the K1 kernel at the roots in d. A NumericsError names the
-    stage ("fold search", "root refinement" or "branch values") and the
-    (rho, beta) at which it arose.
+    come from the K1 kernel at the roots in d. This is the one-element
+    row of _solve_row, which solves many beta at one rho with one fold
+    scan and one Newton solve. A NumericsError names the stage ("fold
+    search", "root refinement" or "branch values") and the (rho, beta)
+    at which it arose.
     """
-    rho, beta = params.rho, params.beta
-    if beta == 0.0:
-        d0 = rho / (1.0 + rho)
-        lam = math.log1p(rho)
-        branch = Branch(h1=math.log(rho), d=d0, lambda_value=lam)
-        return LyapunovResult(
-            lambda_=lam,
-            selected=branch,
-            all_branches=[branch],
-            dlambda_drho=d0 / rho,
-            dlambda_dbeta=d0 * d0 / 3.0,  # small-beta limit of the formula
-        )
-    roots = solve_h1(params)
-    with _stage("branch values", rho, beta):
-        values = _branch_values(np.array(roots.d), rho, beta)
-    branches = [
-        Branch(h1=a, d=d, lambda_value=float(v))
-        for a, d, v in zip(roots.roots, roots.d, values)
-    ]
+    return _solve_row(params.rho, [params.beta])[0]
+
+
+def _solve_row(rho, betas, q=1):
+    """lyapunov at (rho, q*beta) for every beta of a row at one rho, as a
+    list of LyapunovResult in the order of betas. The roots of all beta
+    come from one _row_roots solve, and their branch values from the K1
+    of its last Newton step, which is the kernel at the roots. A
+    NumericsError names the stage, rho, the beta of the element at which
+    it arose, and q (in the message where q > 1)."""
+    betas = np.asarray(betas, dtype=float)
+    owner, d, _, _, K1 = _row_roots(rho, betas, q)
+    found = [[] for _ in betas]
+    if d.size:
+        beta_q = q * betas[owner]
+        with _stage("branch values", rho, betas[owner], q):
+            values = _branch_values(d, rho, beta_q, K1)
+        h1 = inverse_softplus(beta_q * d ** 2 + math.log1p(rho))
+        for j, a, x, v in zip(owner.tolist(), h1.tolist(), d.tolist(), values.tolist()):
+            found[j].append(Branch(h1=a, d=x, lambda_value=v))
+    return [_select(rho, beta, branches) if beta > 0 else _beta_zero(rho)
+            for beta, branches in zip((q * betas).tolist(), found)]
+
+
+def _select(rho, beta, branches):
+    """The result at (rho, beta) from its branches: the best value, the
+    larger-d branch where two values tie to _TIE_RTOL."""
     best_value = max(b.lambda_value for b in branches)
     tie_tol = _TIE_RTOL * max(1.0, abs(best_value))
     contenders = [b for b in branches if best_value - b.lambda_value <= tie_tol]
-    tie = len(contenders) > 1
     selected = max(contenders, key=lambda b: b.d)
     lam = selected.lambda_value
     return LyapunovResult(
@@ -523,15 +601,31 @@ def lyapunov(params):
         all_branches=branches,
         dlambda_drho=selected.d / rho,
         dlambda_dbeta=(beta * selected.d ** 2 + math.log1p(rho) - lam) / (2.0 * beta),
-        tie=tie,
+        tie=len(contenders) > 1,
+    )
+
+
+def _beta_zero(rho):
+    """The exact result at beta = 0: value log(1+rho), mean occupation
+    rho/(1+rho)."""
+    d0 = rho / (1.0 + rho)
+    lam = math.log1p(rho)
+    branch = Branch(h1=math.log(rho), d=d0, lambda_value=lam)
+    return LyapunovResult(
+        lambda_=lam,
+        selected=branch,
+        all_branches=[branch],
+        dlambda_drho=d0 / rho,
+        dlambda_dbeta=d0 * d0 / 3.0,  # small-beta limit of the formula
     )
 
 
 def lyapunov_q(params):
-    """Growth rate of the q-th moment: q times the q=1 rate at (rho, q*beta)."""
+    """Growth rate of the q-th moment: q times the q=1 rate at (rho, q*beta).
+    A NumericsError names (rho, beta, q), with q in its message where q > 1."""
     q = int(params.q)
-    inner = lyapunov(ModelParams(params.rho, q * params.beta))
-    return q * inner.lambda_
+    ModelParams(params.rho, q * params.beta)  # DomainError where q*beta overflows
+    return q * _solve_row(params.rho, [params.beta], q)[0].lambda_
 
 
 def reconstruct_profile(branch, params, nodes=2000):

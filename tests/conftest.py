@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from lyaprec import variational
 from lyaprec.phase import locate_critical_point, mf_critical_point, trace_phase_curve
 
 settings.register_profile(
@@ -51,3 +52,17 @@ def mf_crit():
 @pytest.fixture(scope="session")
 def mini_curve():
     return trace_phase_curve([0.04, 0.07, 0.1])
+
+
+def kernel_calls(monkeypatch, run):
+    """The number of boundary-kernel calls the solver makes in run()."""
+    calls = []
+    kernels = variational._boundary_kernels
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernels(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_boundary_kernels", counted)
+    run()
+    return len(calls)

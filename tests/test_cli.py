@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import kernel_calls
 from lyaprec import cli as cli_mod
+from lyaprec import variational
 from lyaprec.cli import main
-from lyaprec.errors import NumericsError
+from lyaprec.errors import AccuracyError, NumericsError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,6 +178,60 @@ def test_numerics_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(cli_mod._DISPATCH, "meanfield", boom)
     assert main(["meanfield"]) == 4
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def test_numerics_error_names_q(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AccuracyError("forced", 1.0, 1.0)
+
+    monkeypatch.setattr(variational, "_level_roots", fail)
+    assert main(["lyapunov", "--rho", "0.3", "--beta", "1", "--q", "2"]) == 4
+    assert capsys.readouterr().err == "error: root refinement at rho=0.3, beta=1.0, q=2: forced\n"
+
+
+def test_lyapunov_default_grid_kernel_calls(monkeypatch, capsys):
+    # one fold scan and one Newton solve per rho row, 31 calls in all; a
+    # solve per (rho, beta) cell made 238 calls on this 4 x 9 grid
+    codes = []
+    assert kernel_calls(monkeypatch, lambda: codes.append(main(["lyapunov"]))) <= 60
+    assert codes == [0]
+    capsys.readouterr()
+
+
+def test_shared_parser_matches_a_fresh_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho=0.5\nbeta=0,2\n")
+    runs = (["nonsense"], ["lyapunov", "--config", str(cfg)], ["meanfield"])
+
+    def outputs(fresh):
+        cli_mod._build_parser.cache_clear()
+        got = []
+        for argv in runs:
+            if fresh:
+                cli_mod._build_parser.cache_clear()
+            got.append((main(argv), capsys.readouterr()))
+        return got
+
+    shared = outputs(fresh=False)
+    assert cli_mod._build_parser.cache_info().hits == 2
+    assert [code for code, _ in shared] == [2, 0, 0]
+    assert outputs(fresh=True) == shared
+
+
+def _python_m_lyaprec(*args):
+    env = dict(os.environ)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "lyaprec", *args],
+                          capture_output=True, env=env, timeout=300)
+
+
+def test_module_entry_point():
+    run = _python_m_lyaprec("lyapunov", "--rho", "0.5", "--beta", "0,2", "--q", "1",
+                            "--format", "csv")
+    assert run.returncode == 0
+    assert run.stdout == (GOLDEN / "lyapunov_small.csv").read_bytes()
+    assert _python_m_lyaprec("nonsense").returncode == 2
 
 
 def test_config_file_precedence(tmp_path):

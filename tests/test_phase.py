@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import WINDOW_EDGES
-from lyaprec import phase, variational
+from conftest import WINDOW_EDGES, kernel_calls
+from lyaprec import phase
 from lyaprec.errors import DomainError, EvaluationError, NumericsError, _stage
 from lyaprec.meanfield import mf_beta_level, mf_derivative_jumps, mf_lambda
 from lyaprec.phase import (
@@ -248,35 +248,22 @@ def test_traced_points_balance_branch_values(mini_curve):
         )
 
 
-def _kernel_calls(monkeypatch, run):
-    calls = []
-    kernels = variational._boundary_kernels
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernels(*args, **kwargs)
-
-    monkeypatch.setattr(variational, "_boundary_kernels", counted)
-    run()
-    return len(calls)
-
-
 @pytest.mark.parametrize("rho,most", [(0.1232, 31), (0.12328, 40)])
 def test_near_critical_trace_kernel_calls(monkeypatch, rho, most):
     # the hump and the dip share a scan cell here; the zoom between them
     # stops at its first scan with a node where phi < 0
-    assert _kernel_calls(monkeypatch, lambda: trace_phase_curve([rho])) <= most
+    assert kernel_calls(monkeypatch, lambda: trace_phase_curve([rho])) <= most
 
 
 @pytest.mark.parametrize("rho", [0.1233, 0.124])
 def test_no_window_above_rho_c_kernel_calls(monkeypatch, rho):
     # just above rho_c the zoom runs to its 1e-8 floor in log b, one
     # kernel call per scan
-    assert _kernel_calls(monkeypatch, lambda: lyapunov(ModelParams(rho, 5.1))) <= 10
+    assert kernel_calls(monkeypatch, lambda: lyapunov(ModelParams(rho, 5.1))) <= 10
 
 
 def test_locate_critical_point_kernel_calls(monkeypatch):
-    assert _kernel_calls(monkeypatch, locate_critical_point) <= 70
+    assert kernel_calls(monkeypatch, locate_critical_point) <= 70
 
 
 def test_trace_rejects_one_phase_region():

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from conftest import WINDOW_EDGES
 from lyaprec import variational
-from lyaprec.errors import AccuracyError, DomainError, NumericsError
+from lyaprec.errors import AccuracyError, DomainError, NumericsError, _stage
 from lyaprec.meanfield import mf_lambda
 from lyaprec.numerics import (
     _boundary_kernels,
@@ -325,6 +325,27 @@ def test_huge_beta_draws_solve_or_name_stage():
         assert lam <= (beta / 3.0 + math.log1p(rho)) * (1 + 1e-15)
 
 
+# (1+r)^(1/phi) underflows in the first Newton steps here, which made the
+# step d/(1+r)^(1/phi) divide by zero; such a step bisects instead
+@pytest.mark.parametrize("rho", [1e-100, 1e-50, 1e-20])
+def test_huge_beta_at_tiny_rho_solves_without_warnings(rho):
+    beta = 1e300
+    lam = lyapunov(ModelParams(rho, beta)).lambda_
+    tol = 1e-9 * abs(lam)
+    assert beta / 3.0 + math.log(rho) - tol <= lam <= beta / 3.0 + math.log1p(rho) + tol
+
+
+# dK0 is about -1/(2b^2), subnormal for b past about 1e154, where the two
+# kernel rules differ by subnormal rounding alone; these used to raise
+# "boundary kernel rules disagree"
+@pytest.mark.parametrize("rho", [1e-8, 1e-3, 0.5, 10.0])
+@pytest.mark.parametrize("beta", [1e158, 1e159, 1e160, 1e161, 1e165, 1e175])
+def test_subnormal_kernel_slope_solves(rho, beta):
+    lam = lyapunov(ModelParams(rho, beta)).lambda_
+    assert beta / 3.0 + math.log(rho) <= lam * (1 + 1e-15)
+    assert lam <= (beta / 3.0 + math.log1p(rho)) * (1 + 1e-15)
+
+
 # at a subnormal beta the scan nodes sit far above beta, where b/beta
 # overflows; the tangent start must not warn, and the value is unchanged
 @pytest.mark.parametrize("rho,beta,lam", [(0.5, 1e-310, 0.4054651081081644),
@@ -390,6 +411,85 @@ def test_errors_name_stage_and_point(monkeypatch, stage, name, rho, beta):
     assert (exc.stage, exc.rho, exc.beta) == (stage, rho, beta)
     assert str(exc) == "%s at rho=%r, beta=%r: forced" % (stage, rho, beta)
     assert isinstance(exc, NumericsError) and exc.best_estimate == 1.0
+
+
+def test_row_errors_name_the_failing_beta(monkeypatch):
+    # only the middle beta of the row misses its target (no fold at 0.3:
+    # one root per beta); the error names that beta, not the row
+    target = variational._residual_target
+    monkeypatch.setattr(variational, "_residual_target",
+                        lambda beta: np.where(beta == 2.0, -1.0, target(beta)))
+    with pytest.raises(NumericsError) as info:
+        variational._solve_row(0.3, [1.0, 2.0, 3.0])
+    exc = info.value
+    assert (exc.stage, exc.rho, exc.beta, exc.q, exc.index) == ("root refinement", 0.3, 2.0, 1, 1)
+    assert str(exc) == ("root refinement at rho=0.3, beta=2.0: "
+                        "the roots did not reach the residual target")
+
+
+def test_kernel_errors_carry_the_failing_element():
+    with pytest.raises(NumericsError) as info:
+        _boundary_kernels(np.array([1.0, math.inf, 2.0]), 0.1)
+    assert info.value.index == 1
+
+
+def test_stage_names_the_element_of_a_batched_step():
+    betas = np.array([1.0, 2.0, 3.0])
+    for index, beta in ((1, 2.0), (None, 1.0)):
+        exc = NumericsError("forced")
+        exc.index = index
+        with pytest.raises(NumericsError) as info:
+            with _stage("step", 0.1, betas, q=3):
+                raise exc
+        assert (info.value.beta, info.value.q) == (beta, 3)
+        assert str(info.value) == "step at rho=0.1, beta=%r, q=3: forced" % beta
+
+
+def test_moment_order_errors_name_q(monkeypatch):
+    monkeypatch.setattr(
+        variational, "_level_roots", _raise_on_call(AccuracyError("forced", 1.0, 1.0))
+    )
+    with pytest.raises(AccuracyError) as info:
+        lyapunov_q(ModelParams(0.3, 1.0, q=2))
+    exc = info.value
+    assert (exc.stage, exc.rho, exc.beta, exc.q) == ("root refinement", 0.3, 1.0, 2)
+    assert str(exc) == "root refinement at rho=0.3, beta=1.0, q=2: forced"
+
+
+def _row_cases():
+    rng = np.random.default_rng(16)
+    # the CLI default grid, then seeded rows from beta = 0 and 1e-13 up to
+    # 1e200, then probes 1e-9 (relative) inside each window edge
+    rows = [(rho, [float(beta) for beta in range(9)]) for rho in (0.025, 0.05, 0.125, 0.2)]
+    for rho in (1e-8, 1e-6, 1e-3, 0.05, 0.1232, 0.3, 2.0):
+        rows.append((rho, [0.0, 1e-13] + (10.0 ** rng.uniform(-12.0, 200.0, 6)).tolist()))
+    for rho, (lo, hi) in WINDOW_EDGES.items():
+        lo, hi = float(lo), float(hi)
+        rows.append((rho, [lo * (1.0 + 1e-9), 0.5 * (lo + hi), hi * (1.0 - 1e-9), 2.0 * hi]))
+    return rows
+
+
+def test_row_matches_scalar_solves():
+    eps = np.finfo(float).eps
+    for rho, betas in _row_cases():
+        for beta, got in zip(betas, variational._solve_row(rho, betas)):
+            want = lyapunov(ModelParams(rho, beta))
+            assert len(got.all_branches) == len(want.all_branches), (rho, beta)
+            assert got.tie == want.tie
+            assert got.lambda_ == pytest.approx(want.lambda_, rel=1e-13)
+            for x, y in zip(got.all_branches, want.all_branches):
+                assert x.lambda_value == pytest.approx(y.lambda_value, rel=1e-13)
+                if abs(x.d - y.d) <= 1e-13 * y.d:
+                    continue
+                # near a fold phi is small, and a root moves by up to
+                # |r|/|phi| in log d inside the residual target
+                d = np.array([x.d, y.d])
+                b = beta * d * d
+                K0, _, dK0 = _boundary_kernels(b, rho)
+                target = variational._residual_target(beta) + 4.0 * eps
+                assert np.all(np.abs(d * (1.0 + rho) * K0 - 1.0) <= target), (rho, beta)
+                phi = 1.0 + 2.0 * b[1] * dK0[1] / K0[1]
+                assert abs(math.log(x.d / y.d)) <= 4.0 * target / abs(phi), (rho, beta)
 
 
 @pytest.mark.parametrize("rho", [2e-308, 1e-310, 1e-320])
