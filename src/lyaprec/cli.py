@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, NumericsError
+from .errors import BudgetError, DomainError, NumericsError, _check_rho
 from .meanfield import MF_CURVE_RHO_MAX, mf_gap, mf_lambda, mf_phase_curve
 from .phase import (
     appendix_b_checks,
@@ -46,7 +46,7 @@ from .simulate import (
     exact_moment,
     lln_check,
 )
-from .variational import ModelParams, _check_rho, _solve_row, big_F_scan
+from .variational import ModelParams, _solve_row, big_F_scan
 
 __all__ = ["RunConfig", "main", "main_entry"]
 

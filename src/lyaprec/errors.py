@@ -3,12 +3,21 @@
 The split mirrors how callers need to react: bad inputs (DomainError),
 a computation that would exceed a stated resource budget (BudgetError),
 and numerical machinery that failed to converge (NumericsError and its
-subclasses). The CLI maps these onto distinct exit codes.
+subclasses). The CLI maps these onto distinct exit codes. The one
+amplitude check (_check_rho) lives here too, so that every module can
+raise the same DomainError for a bad rho.
 """
+import math
 
 
 class DomainError(ValueError):
     """An argument is outside the documented domain of an operation."""
+
+
+def _check_rho(rho):
+    """DomainError unless the amplitude rho is a positive finite real."""
+    if not (rho > 0 and math.isfinite(rho)):
+        raise DomainError("rho must be a positive finite real")
 
 
 class BudgetError(RuntimeError):

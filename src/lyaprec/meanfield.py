@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DomainError
+from .errors import DomainError, _check_rho
 from .numerics import _refine_bracket, softplus
 
 __all__ = [
@@ -59,8 +59,7 @@ def mf_beta_level(a, rho):
     a = np.asarray(a, dtype=float)
     if np.any((a <= 0) | (a >= 1)):
         raise DomainError("mf_beta_level needs a in (0, 1)")
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     out = 1.5 * (np.log(a / (1.0 - a)) - math.log(rho)) / a
     return float(out) if out.ndim == 0 else out
 
@@ -91,10 +90,14 @@ def mf_lambda(params):
         x_fold = 2.0 * math.log1p(s) + math.log(beta / 6.0)
         cuts[1:1] = [min(max(x - lr, 0.0), cuts[-1]) for x in (-x_fold, x_fold)]
     g_cuts = [g(t) for t in cuts]
+    # the refinement stops at a bracket 4*eps*t wide, where |g| at its
+    # better end can reach about 2*eps*t*|g'| plus the rounding of g, so
+    # with t up to 2*beta/3 the target is 2*eps*beta from beta about 2250
+    tol = max(1e-12, 2.0 * np.finfo(float).eps * beta)
     roots = []
     for lo, hi, g_lo, g_hi in zip(cuts, cuts[1:], g_cuts, g_cuts[1:]):
         if lo < hi and min(g_lo, g_hi) <= 0.0 <= max(g_lo, g_hi):
-            roots.append(_refine_bracket(g, lo, hi, g_lo, g_hi, 1e-12) + lr)
+            roots.append(_refine_bracket(g, lo, hi, g_lo, g_hi, tol) + lr)
     a1 = a2 = None
     if len(roots) == 1:
         x_star = roots[0]

@@ -19,18 +19,18 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from .errors import DomainError, NumericsError, _stage
+from .errors import DomainError, NumericsError, _check_rho, _stage
 from .meanfield import mf_beta_level, mf_gap
 from .numerics import inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
-    _check_rho,
     _folds,
     _level,
     _level_roots,
     _polish_folds,
     big_F_scan,
     correction_integral,
+    d_of_h1,
     lambda_of_d,
 )
 
@@ -92,9 +92,6 @@ class ExponentFit:
     r_squared: float
     n_points: int
     window: tuple
-    gap_prefactor: float | None = None
-    curvature_constant: float | None = None
-    third_derivative: float | None = None
 
 
 @dataclass(frozen=True)
@@ -114,113 +111,82 @@ def _beta_level(a_values, rho):
     return 0.25 * F * F
 
 
-def _slope_stencil(blevel, a, rho, h):
-    """Fourth-order (Richardson-refined central) slope of the beta level."""
-    xs = a + h * np.array([-2.0, -1.0, 1.0, 2.0])
-    v = blevel(xs, rho)
+# the four off-centre points of the finite-difference stencils, in steps h
+_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def _slope(v, h):
+    """Fourth-order (Richardson-refined central) slope from the values v at
+    a + h*_STENCIL, stacked along the first axis."""
     return (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
+
+
+def _third(v, h):
+    """Central third derivative from the values v at a + h*_STENCIL."""
+    return (v[3] - 2.0 * v[2] + 2.0 * v[1] - v[0]) / (2.0 * h ** 3)
+
+
+def _slope_scan(blevel, rho, a_lo, a_hi, h, n):
+    """Beta-level slopes on n points spanning [a_lo + 2h, a_hi - 2h]."""
+    grid = np.linspace(a_lo + 2 * h, a_hi - 2 * h, n)
+    v = blevel((grid[None, :] + h * _STENCIL[:, None]).ravel(), rho).reshape(4, n)
+    return grid, _slope(v, h)
+
+
+def _slope_brent(blevel, rho, a_lo, a_hi, h, xatol):
+    """Bounded-Brent minimum of the beta-level slope over [a_lo, a_hi]."""
+    return minimize_scalar(
+        lambda x: _slope(blevel(x + h * _STENCIL, rho), h),
+        bounds=(a_lo, a_hi),
+        method="bounded",
+        options={"xatol": xatol},
+    )
 
 
 def _min_slope(blevel, rho, a_lo, a_hi, h, grid_n=1024):
     """Minimum of the beta-level slope over [a_lo, a_hi] and its location."""
-    grid = np.linspace(a_lo + 2 * h, a_hi - 2 * h, grid_n)
-    shifted = grid[None, :] + h * np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
-    v = blevel(shifted.ravel(), rho).reshape(4, grid_n)
-    slopes = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
+    grid, slopes = _slope_scan(blevel, rho, a_lo, a_hi, h, grid_n)
     i = int(np.argmin(slopes))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_n - 1)]
-    res = minimize_scalar(
-        lambda x: _slope_stencil(blevel, x, rho, h),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+    res = _slope_brent(blevel, rho, grid[max(i - 1, 0)],
+                       grid[min(i + 1, grid_n - 1)], h, 1e-12)
     return float(res.fun), float(res.x)
 
 
-def _default_a_domain(rho):
-    return math.log(rho) + 1e-6, math.log(rho) + 10.0
+def _bisect(below, lo, hi, rel):
+    """Halve [lo, hi] on below(mid) until hi - lo <= rel*lo."""
+    while hi - lo > rel * lo:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
-def _default_d_map(a, rho, beta):
-    return math.sqrt(max(float(softplus_diff(a, math.log(rho))), 0.0) / beta)
-
-
-# relative band around rho_c inside which the fold scan leaves a bisection
-# step to the finite differences, whose crossing lies 9.1e-9 from rho_c
-# at the default fd_step
+# relative width of the fold-scan bracket, which the finite-difference
+# crossing (9.1e-9 from rho_c at the default fd_step) then narrows
 _FOLD_BAND = 1e-7
 
 
-def _no_side(rho):
-    return None
+def _fold_bracket(rho_bracket, below):
+    """A bracket on the path of the slope-scan bisection, from the fold
+    scan (variational._folds), which finds a window exactly below rho_c.
 
-
-def _fold_side(rho_bracket):
-    """Side of rho_c from the fold scan, which finds a window exactly
-    below it: bisects in rho on that to a bracket of relative width
-    _FOLD_BAND, and returns a function giving True where rho lies below
-    the bracket by the band, False where it lies above it by the band,
-    and None in between. Where the scan sees no crossing in rho_bracket,
-    every answer is None."""
-    def below(rho):
+    Bisects on the fold scan to relative width _FOLD_BAND. Both
+    bisections halve the same brackets, so where below (the slope scan)
+    confirms both ends of the final one, the slope-scan bisection passes
+    through it. None where the fold scan sees no crossing in rho_bracket
+    or below disputes an end.
+    """
+    def window(rho):
         with _stage("fold search", rho):
             return _folds(rho)[3] is not None
 
-    x_lo, x_hi = rho_bracket
-    if not below(x_lo) or below(x_hi):
-        return _no_side
-    while x_hi - x_lo > _FOLD_BAND * x_lo:
-        mid = 0.5 * (x_lo + x_hi)
-        if below(mid):
-            x_lo = mid
-        else:
-            x_hi = mid
-
-    def side(rho):
-        if rho * (1.0 + _FOLD_BAND) <= x_lo:
-            return True
-        if rho * (1.0 - _FOLD_BAND) >= x_hi:
-            return False
+    lo, hi = rho_bracket
+    if not window(lo) or window(hi):
         return None
-
-    return side
-
-
-def _bisect_rho(min_slope, rho_bracket, side):
-    """Bisection in rho on the sign of the minimum beta-level slope.
-
-    side(rho) may decide a step without the slope scan (True below the
-    crossing, False above, None to leave it to the scan). Returns the
-    final bracket, the slope-minimum location at its last midpoint, and
-    whether both ends of that bracket were decided by the scan with
-    s_lo < 0 < s_hi, which places the scan's crossing inside every
-    bracket and so makes each step the one the scan alone would take.
-    """
-    rho_lo, rho_hi = rho_bracket
-    s_lo = s_hi = None
-    if not (side(rho_lo) is True and side(rho_hi) is False):
-        s_lo, _ = min_slope(rho_lo)
-        s_hi, _ = min_slope(rho_hi)
-        if not (s_lo < 0 < s_hi):
-            raise DomainError(
-                "rho bracket does not straddle the critical amplitude: "
-                "slope minima %r and %r" % (s_lo, s_hi)
-            )
-    a_at = None
-    while rho_hi - rho_lo > 1e-8 * rho_lo:
-        mid = 0.5 * (rho_lo + rho_hi)
-        below, s_mid = side(mid), None
-        if below is None:
-            s_mid, a_at = min_slope(mid)
-            below = s_mid < 0
-        if below:
-            rho_lo, s_lo = mid, s_mid
-        else:
-            rho_hi, s_hi = mid, s_mid
-    decided = s_lo is not None and s_hi is not None and s_lo < 0 < s_hi
-    return rho_lo, rho_hi, a_at, decided
+    lo, hi = _bisect(window, lo, hi, _FOLD_BAND)
+    return (lo, hi) if below(lo) and not below(hi) else None
 
 
 def locate_critical_point(
@@ -239,51 +205,55 @@ def locate_critical_point(
     exact one; mf_critical_point passes the flat-profile hooks to run the
     same finder on the approximation.
 
-    For the exact model the fold scan (variational._folds), which finds
-    a window exactly below rho_c, decides each bisection step and
-    bracket end that lies more than _FOLD_BAND (relative) from its own
-    crossing; the slope scan decides the rest. Where both ends of the
-    final bracket come from the slope scan with opposite signs, its
-    crossing lies in every bracket, so each step is the one the slope
-    scan alone takes and the result is the same bit for bit; else (a
-    large fd_step can move that crossing out of the band) the plain
-    bisection runs again. On the default bracket this takes 6 slope
-    scans where the plain bisection takes 30.
+    For the exact model the slope-scan bisection starts from a bracket
+    that the fold scan (variational._folds) narrows to _FOLD_BAND and the
+    slope scan checks (see _fold_bracket); where there is none, it starts
+    from rho_bracket once that straddles the crossing. Both starts lie on
+    the path of the plain slope-scan bisection, so the result is the same
+    bit for bit. On the default bracket this takes 5 slope scans where
+    the plain bisection takes 30.
     """
     if not all(r > 0 for r in rho_bracket):
         raise DomainError("rho bracket must be positive")
     for rho in rho_bracket:
         _check_rho(rho)
     blevel = beta_level if beta_level is not None else _beta_level
-    dmap = d_map if d_map is not None else _default_d_map
-    adom = a_domain if a_domain is not None else _default_a_domain
     h = fd_step
 
-    def min_slope(rho):
-        lo, hi = adom(rho)
-        return _min_slope(blevel, rho, lo, hi, h)
+    def domain(rho):
+        lr = math.log(rho)
+        return a_domain(rho) if a_domain is not None else (lr + 1e-6, lr + 10.0)
 
-    # the fold scan decides the far steps for the exact model; where the
-    # slope scan's crossing turns out to lie outside the band, the plain
-    # bisection runs again
-    decided = False
-    if beta_level is None:
-        rho_lo, rho_hi, a_at, decided = _bisect_rho(
-            min_slope, rho_bracket, _fold_side(rho_bracket))
-    if not decided:
-        rho_lo, rho_hi, a_at, _ = _bisect_rho(min_slope, rho_bracket, _no_side)
+    def min_slope(rho):
+        return _min_slope(blevel, rho, *domain(rho), h)
+
+    def below(rho):
+        # the slope minimum is negative: rho lies below the crossing
+        nonlocal a_at
+        s, a_at = min_slope(rho)
+        return s < 0
+
+    bracket = _fold_bracket(rho_bracket, below) if beta_level is None else None
+    if bracket is None:
+        bracket = rho_bracket
+        s_lo, s_hi = (min_slope(rho)[0] for rho in bracket)
+        if not (s_lo < 0 < s_hi):
+            raise DomainError(
+                "rho bracket does not straddle the critical amplitude: "
+                "slope minima %r and %r" % (s_lo, s_hi)
+            )
+    a_at = None  # the slope-minimum location at the last midpoint, not at an end
+    rho_lo, rho_hi = _bisect(below, *bracket, 1e-8)
     rho_c = 0.5 * (rho_lo + rho_hi)
     a_c = a_at if a_at is not None else min_slope(rho_c)[1]
 
     def stencil(a, rho):
-        xs = a + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        v = blevel(xs, rho)
-        slope = (8.0 * (v[3] - v[1]) - (v[4] - v[0])) / (12.0 * h)
+        v = blevel(a + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), rho)
+        off = v[[0, 1, 3, 4]]
         curv = (-v[4] + 16.0 * v[3] - 30.0 * v[2] + 16.0 * v[1] - v[0]) / (
             12.0 * h * h
         )
-        third = (v[4] - 2.0 * v[3] + 2.0 * v[1] - v[0]) / (2.0 * h ** 3)
-        return slope, curv, third
+        return _slope(off, h), curv, _third(off, h)
 
     steps = []
     for _ in range(25):
@@ -310,23 +280,14 @@ def locate_critical_point(
         raise NumericsError("endpoint polish did not converge")
 
     # collect every slope minimum that touches zero, not just the one found
-    lo, hi = adom(rho_c)
-    grid = np.linspace(lo + 2 * h, hi - 2 * h, 2048)
-    shifted = grid[None, :] + h * np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
-    v = blevel(shifted.ravel(), rho_c).reshape(4, grid.size)
-    slopes = (8.0 * (v[2] - v[1]) - (v[3] - v[0])) / (12.0 * h)
+    grid, slopes = _slope_scan(blevel, rho_c, *domain(rho_c), h, 2048)
     candidates = []
     interior = np.flatnonzero(
         (slopes[1:-1] <= slopes[:-2]) & (slopes[1:-1] <= slopes[2:])
     )
     for i in interior + 1:
         if abs(slopes[i]) < 1e-4:
-            res = minimize_scalar(
-                lambda x: _slope_stencil(blevel, x, rho_c, h),
-                bounds=(grid[i - 1], grid[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
+            res = _slope_brent(blevel, rho_c, grid[i - 1], grid[i + 1], h, 1e-10)
             if abs(res.fun) < 1e-6 and all(
                 abs(res.x - c) > 1e-6 for c in candidates
             ):
@@ -339,7 +300,8 @@ def locate_critical_point(
         beta_c = float(_level(softplus_diff(a_c, math.log(rho_c)), rho_c)[0][0])
     else:
         beta_c = float(np.atleast_1d(blevel(np.array([a_c]), rho_c))[0])
-    d_c = dmap(a_c, rho_c, beta_c)
+    d_c = (d_map(a_c, rho_c, beta_c) if d_map is not None
+           else d_of_h1(a_c, ModelParams(rho_c, beta_c)))
     return CriticalPoint(
         rho_c=float(rho_c),
         beta_c=float(beta_c),
@@ -489,26 +451,22 @@ def _curvature_pieces(critical):
     gap opening: gap_a = sqrt(-24*B_ar/(B3*B_r)) * sqrt(beta - beta_c).
     """
     a0, r0 = critical.a_c, critical.rho_c
-
-    def B(a_arr, rho):
-        return _beta_level(np.asarray(a_arr, dtype=float), rho)
+    B = _beta_level
 
     def third(h):
-        xs = a0 + h * np.array([-2.0, -1.0, 1.0, 2.0])
-        v = B(xs, r0)
-        return (v[3] - 2.0 * v[2] + 2.0 * v[1] - v[0]) / (2.0 * h ** 3)
+        return _third(B(a0 + h * _STENCIL, r0), h)
 
     h = 0.05
     B3 = (4.0 * third(h / 2) - third(h)) / 3.0
     k = 1e-4
-    B_r = float((B([a0], r0 + k) - B([a0], r0 - k))[0] / (2.0 * k))
+    B_r = float((B(a0, r0 + k) - B(a0, r0 - k))[0] / (2.0 * k))
     ha = 0.02
     B_ar = float(
         (
-            B([a0 + ha], r0 + k)
-            - B([a0 - ha], r0 + k)
-            - B([a0 + ha], r0 - k)
-            + B([a0 - ha], r0 - k)
+            B(a0 + ha, r0 + k)
+            - B(a0 - ha, r0 + k)
+            - B(a0 + ha, r0 - k)
+            + B(a0 - ha, r0 - k)
         )[0]
         / (4.0 * ha * k)
     )
@@ -526,11 +484,11 @@ def critical_exponent_fit(points, critical, window=(1e-4, 1e-2), boundary_gap=No
 
     log(a2 - a1) is regressed on log|beta - beta_c| over the points
     whose relative beta offset lies in the window; alpha is the slope
-    (1/2 at a square-root opening) and gamma the prefactor. For the
-    default model the closed-form prefactor constants are evaluated
-    alongside from the endpoint curvature. boundary_gap overrides how
-    the gap is read off a point (the flat-profile model passes
-    lambda p: p.d2 - p.d1 since occupation and logit coincide there).
+    (1/2 at a square-root opening) and gamma the prefactor; the
+    closed-form constants come from critical_jump_constants. boundary_gap
+    overrides how the gap is read off a point (the flat-profile model
+    passes lambda p: p.d2 - p.d1 since occupation and logit coincide
+    there).
     """
     rows = _fit_window_points(points, critical, window)
     gaps = []
@@ -556,20 +514,12 @@ def critical_exponent_fit(points, critical, window=(1e-4, 1e-2), boundary_gap=No
     resid = y - (alpha * x + logc)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    gap_prefactor = curvature_constant = third_derivative = None
-    if boundary_gap is None:
-        gap_prefactor, curvature_constant, third_derivative = _curvature_pieces(
-            critical
-        )
     return ExponentFit(
         alpha=float(alpha),
         gamma=float(math.exp(logc)),
         r_squared=r_squared,
         n_points=len(rows),
         window=tuple(window),
-        gap_prefactor=gap_prefactor,
-        curvature_constant=curvature_constant,
-        third_derivative=third_derivative,
     )
 
 
@@ -626,8 +576,7 @@ def appendix_b_checks(a_values, rho, cubic_d=0.6, cubic_betas=None):
     approximation, scaled by beta*d^2, stays bounded as beta grows at
     fixed d.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     a_values = [float(a) for a in a_values]
     if any(a < 1 for a in a_values):
         raise DomainError("asymptotics checks need arguments >= 1")

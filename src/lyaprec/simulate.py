@@ -63,6 +63,8 @@ class NoiseSpec:
             raise DomainError(
                 "noise kind must be one of %s" % (_NOISE_KINDS,)
             )
+        if not math.isfinite(self.value):
+            raise DomainError("noise value must be finite")
         if self.kind == "constant":
             if not self.value >= 0:
                 raise DomainError("constant noise level must be >= 0")
@@ -88,6 +90,10 @@ class SimSpec:
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise DomainError("n must be an integer >= 1")
+        # every path would overflow or turn NaN on an infinite input
+        for name in ("rho", "sigma", "tau", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError("%s must be finite" % name)
         if not self.rho >= 0:
             raise DomainError("rho must be >= 0")
         if not self.sigma >= 0:
@@ -104,8 +110,8 @@ class SimSpec:
     @classmethod
     def from_beta(cls, n, rho, beta, **kwargs):
         """Spec on the fixed-beta diagonal: tau=1, sigma = sqrt(2*beta)/n."""
-        if not beta >= 0:
-            raise DomainError("beta must be >= 0")
+        if not (beta >= 0 and math.isfinite(beta)):
+            raise DomainError("beta must be a finite real >= 0")
         if not n >= 1:
             raise DomainError("n must be an integer >= 1")
         return cls(n=n, rho=rho, sigma=math.sqrt(2.0 * beta) / n, tau=1.0, **kwargs)

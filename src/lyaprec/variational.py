@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .errors import DomainError, NumericsError, _stage
+from .errors import DomainError, NumericsError, _check_rho, _stage
 from .numerics import (
     ACCURATE_QUADRATURE,
     _NODES15,
@@ -70,12 +70,6 @@ __all__ = [
     "lyapunov_q",
     "reconstruct_profile",
 ]
-
-
-def _check_rho(rho):
-    """DomainError unless rho is a positive finite real."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise DomainError("rho must be a positive finite real")
 
 
 @dataclass(frozen=True)
@@ -162,8 +156,7 @@ def big_F(a, rho):
     fixed-rule kernel family. The integrand exceeds 1/sqrt(y)
     pointwise, so big_F(a) >= 2*sqrt(L) always.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     lr = math.log(rho)
     if a < lr:
         raise DomainError("big_F needs a >= log(rho)")
@@ -200,8 +193,7 @@ def big_F_scan(a_values, rho):
     over the whole array, as every row goes through the same
     elementwise operations and the same row sum.
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
     lr = math.log(rho)
     if np.any(a < lr - 1e-12):
@@ -522,8 +514,7 @@ def correction_integral(arg, rho):
     large-arg behavior is pinned between closed polylog bounds (see the
     asymptotics checks in the phase module).
     """
-    if not rho > 0:
-        raise DomainError("rho must be positive")
+    _check_rho(rho)
     if arg < 0:
         raise DomainError("correction_integral needs arg >= 0")
     return float(_boundary_kernels(arg, rho)[1][0])

@@ -151,6 +151,9 @@ def test_exit_codes(monkeypatch, capsys):
     # past beta = 2e17 the mean-field fold is still finite
     assert main(["lyapunov", "--rho", "0.1", "--beta", "1e18"]) == 0
     assert main(["meanfield", "--rho", "0.1", "--beta", "1e18"]) == 0
+    # past beta = 1e170 the mean-field root is refined to rounding in beta
+    assert main(["lyapunov", "--rho", "0.1", "--beta", "1e200"]) == 0
+    assert main(["meanfield", "--rho", "0.1", "--beta", "1e200"]) == 0
     assert main(["nonsense"]) == 2
     monkeypatch.setenv("LYAPREC_THREADS", "abc")
     assert main(["simulate", "--n", "10", "--paths", "100"]) == 2
@@ -161,6 +164,21 @@ def test_exit_codes(monkeypatch, capsys):
 def test_bigf_rejects_bad_amplitudes(capsys, rho):
     assert main(["bigf", "--rho", rho]) == 2
     assert capsys.readouterr().err == "error: rho must be a positive finite real\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--exact", "--rho", "inf"], "rho must be finite"),
+    (["--exact", "--beta", "inf"], "beta must be a finite real >= 0"),
+    (["--rho", "inf"], "rho must be finite"),
+    (["--x0", "inf"], "x0 must be finite"),
+    (["--noise", "constant", "--noise-value", "inf"], "noise value must be finite"),
+])
+def test_simulate_refuses_non_finite_inputs(monkeypatch, capsys, argv, message):
+    # refused before any path runs
+    monkeypatch.setattr(cli_mod, "estimate_moment", None)
+    monkeypatch.setattr(cli_mod, "exact_moment", None)
+    assert main(["simulate", "--n", "10", "--paths", "100"] + argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_critical_with_narrow_bracket(tmp_path):

@@ -49,6 +49,18 @@ def test_huge_beta_is_finite(beta):
     assert res.lambda_bar == pytest.approx(beta / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1e171, 1e200, 1e250])
+@pytest.mark.parametrize("rho", [1e-8, 1e-3, 0.1, 0.5, 2.0])
+def test_huge_beta_refines_to_rounding(rho, beta):
+    # the stationarity residual rounds at about eps*beta here, far above
+    # 1e-12, which made the refinement raise "bracket collapsed"
+    params = ModelParams(rho, beta)
+    lam = mf_lambda(params).lambda_bar
+    assert math.isfinite(lam)
+    # both bounds equal beta/3 to rounding, where lyapunov sits up to 5 eps low
+    assert lam <= lyapunov(params).lambda_ * (1 + 1e-14)
+
+
 def test_level_curve_anchor():
     assert mf_beta_level(0.5, math.exp(-2.0)) == pytest.approx(6.0, rel=1e-14)
     with pytest.raises(DomainError):

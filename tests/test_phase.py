@@ -84,9 +84,9 @@ def test_mf_trace_needs_beta_above_six():
         mf_trace([7.0, 6.0])
 
 
-def _plain_bisection(min_slope, rho_bracket, side):
+def _plain_bisection(min_slope, rho_bracket):
     # the rho bisection on finite-difference slope minima alone, every
-    # step and both bracket ends from the slope scan, side unused
+    # step and both bracket ends from the slope scan
     rho_lo, rho_hi = rho_bracket
     s_lo, _ = min_slope(rho_lo)
     s_hi, _ = min_slope(rho_hi)
@@ -103,18 +103,48 @@ def _plain_bisection(min_slope, rho_bracket, side):
             rho_lo = mid
         else:
             rho_hi = mid
-    return rho_lo, rho_hi, a_at, True
+    return rho_lo, rho_hi, a_at
+
+
+def _no_window(rho):
+    return None, None, None, None
 
 
 def _plain_endpoint(monkeypatch, **kwargs):
+    # the finder with a fold scan that reports no window, once its slope
+    # scans are checked to be the plain bisection's, rho for rho
+    scans, found = [], {}
+    min_slope = phase._min_slope
+
+    def recorded(blevel, rho, *args):
+        scans.append(rho)
+        found[rho] = min_slope(blevel, rho, *args)
+        return found[rho]
+
     with monkeypatch.context() as m:
-        m.setattr(phase, "_bisect_rho", _plain_bisection)
-        return locate_critical_point(**kwargs)
+        m.setattr(phase, "_folds", _no_window)
+        m.setattr(phase, "_min_slope", recorded)
+        got = locate_critical_point(**kwargs)
+    asked = []
+
+    def replay(rho):
+        asked.append(rho)
+        return found[rho]
+
+    _plain_bisection(replay, kwargs.get("rho_bracket", (0.05, 0.3)))
+    assert scans == asked
+    return got
 
 
-def test_bracket_must_straddle(monkeypatch):
+def _exact_min_slope(rho):
+    # the finder's slope scan of the exact model on its default logit domain
+    lr = math.log(rho)
+    return phase._min_slope(phase._beta_level, rho, lr + 1e-6, lr + 10.0, 0.02)
+
+
+def test_bracket_must_straddle():
     with pytest.raises(DomainError) as plain:
-        _plain_endpoint(monkeypatch, rho_bracket=(0.2, 0.3))
+        _plain_bisection(_exact_min_slope, (0.2, 0.3))
     with pytest.raises(DomainError) as info:
         locate_critical_point(rho_bracket=(0.2, 0.3))
     assert str(info.value).startswith(
@@ -175,10 +205,20 @@ def test_endpoint_from_other_brackets(bracket, crit):
 
 @pytest.mark.parametrize("bracket", [(0.05, 0.3)] + OTHER_BRACKETS)
 def test_fold_scan_steps_match_plain_bisection(monkeypatch, bracket):
-    # the fold scan decides only steps the slope scan decides the same way,
-    # so every field of the endpoint is the plain bisection's, bit for bit
+    # the slope-scan bisection starts from a bracket on the plain one's
+    # path, so every field of the endpoint is the plain bisection's, bit
+    # for bit
     assert locate_critical_point(rho_bracket=bracket) == _plain_endpoint(
         monkeypatch, rho_bracket=bracket)
+
+
+@pytest.mark.parametrize("fd_step", [0.01, 0.03, 0.05])
+@pytest.mark.parametrize("bracket", [(0.05, 0.3), (0.1232, 0.1234)])
+def test_fold_scan_matches_plain_bisection_at_other_steps(monkeypatch, bracket, fd_step):
+    # the finite-difference crossing moves with fd_step, and may leave
+    # the fold bracket: the bisection then starts from rho_bracket
+    kwargs = dict(rho_bracket=bracket, fd_step=fd_step)
+    assert locate_critical_point(**kwargs) == _plain_endpoint(monkeypatch, **kwargs)
 
 
 def test_fold_scan_leaves_few_slope_scans(monkeypatch):
@@ -197,34 +237,23 @@ def test_fold_scan_leaves_few_slope_scans(monkeypatch):
     monkeypatch.setattr(phase, "big_F_scan", counted_scan)
     locate_critical_point()
     # the plain bisection takes 30 slope scans and 133,108 scan points
-    assert len(calls) <= 8
+    assert len(calls) <= 6
     assert sum(points) <= 45000
 
 
-@pytest.mark.parametrize("shift", [1e-5, -1e-5, 3e-7, -3e-7])
+@pytest.mark.parametrize("shift", [1e-5, -1e-5, 3e-7, -3e-7, 5e-8, -5e-8])
 def test_misplaced_fold_scan_falls_back(monkeypatch, crit, shift):
-    # a fold scan whose crossing lies outside the band around the
-    # finite-difference one: the far steps it decides are then wrong, the
-    # final bracket is not decided by slope scans at both ends, and the
-    # plain bisection runs again
+    # a fold scan whose crossing lies off the finite-difference one: the
+    # slope scan disputes an end of the fold bracket, and the bisection
+    # starts from rho_bracket
     fake_c = crit.rho_c * (1.0 + shift)
 
     def fake_folds(rho):
         return None, None, None, (np.array([[0, 1], [2, 3]]) if rho < fake_c else None)
 
-    decided = []
-    bisect = phase._bisect_rho
-
-    def spied(*args):
-        out = bisect(*args)
-        decided.append(out[3])
-        return out
-
     monkeypatch.setattr(phase, "_folds", fake_folds)
-    monkeypatch.setattr(phase, "_bisect_rho", spied)
     # crit, from the default bracket, is the plain bisection's endpoint
     assert locate_critical_point() == crit
-    assert decided == [False, True]
 
 
 def test_traced_points_structure(mini_curve):

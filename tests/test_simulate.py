@@ -36,6 +36,28 @@ def test_spec_validation():
         NoiseSpec(kind="exponential", value=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["rho", "sigma", "tau", "x0"])
+def test_spec_needs_finite_inputs(field, value):
+    kwargs = dict(n=4, rho=0.2, sigma=0.1)
+    kwargs[field] = value
+    with pytest.raises(DomainError):
+        SimSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kind", ["constant", "exponential", "uniform"])
+def test_noise_needs_finite_value(kind):
+    with pytest.raises(DomainError, match="^noise value must be finite$"):
+        NoiseSpec(kind=kind, value=math.inf)
+
+
+def test_from_beta_needs_finite_beta():
+    with pytest.raises(DomainError):
+        SimSpec.from_beta(10, 0.2, math.inf)
+    # no amplitude at all is a valid, deterministic chain
+    assert SimSpec.from_beta(10, 0.0, 1.0).rho == 0.0
+
+
 def test_from_beta_roundtrip():
     s = SimSpec.from_beta(50, 0.2, 2.0)
     assert s.sigma == pytest.approx(math.sqrt(4.0) / 50.0, rel=1e-15)

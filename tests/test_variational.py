@@ -12,14 +12,14 @@ from scipy.special import expit
 from conftest import WINDOW_EDGES
 from lyaprec import variational
 from lyaprec.errors import AccuracyError, DomainError, NumericsError, _stage
-from lyaprec.meanfield import mf_lambda
+from lyaprec.meanfield import mf_beta_level, mf_lambda
 from lyaprec.numerics import (
     _boundary_kernels,
     inverse_softplus,
     softplus,
     softplus_diff,
 )
-from lyaprec.phase import trace_phase_curve
+from lyaprec.phase import appendix_b_checks, trace_phase_curve
 from lyaprec.variational import (
     ModelParams,
     _folds,
@@ -46,6 +46,20 @@ def test_params_validation():
         ModelParams(0.2, -0.5)
     with pytest.raises(DomainError):
         ModelParams(0.2, 1.0, q=0)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda rho: big_F(1.0, rho),
+    lambda rho: big_F_scan([1.0, 2.0], rho),
+    lambda rho: correction_integral(5.0, rho),
+    lambda rho: appendix_b_checks([5.0], rho),
+    lambda rho: mf_beta_level(0.5, rho),
+], ids=["big_F", "big_F_scan", "correction_integral", "appendix_b_checks",
+        "mf_beta_level"])
+def test_amplitude_must_be_positive_finite(call, rho):
+    with pytest.raises(DomainError, match="^rho must be a positive finite real$"):
+        call(rho)
 
 
 def test_entropy_endpoints_and_center():
