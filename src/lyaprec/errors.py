@@ -3,11 +3,20 @@
 The split mirrors how callers need to react: bad inputs (DomainError),
 a computation that would exceed a stated resource budget (BudgetError),
 and numerical machinery that failed to converge (NumericsError and its
-subclasses). The CLI maps these onto distinct exit codes. The one
-amplitude check (_check_rho) lives here too, so that every module can
-raise the same DomainError for a bad rho.
+subclasses). The CLI maps these onto distinct exit codes. The
+amplitude check (_check_rho) and the moment-order check (_check_q1)
+live here too, so that every module raises the same DomainError for a
+bad rho and for a q that a q = 1 solver would ignore.
 """
 import math
+
+__all__ = [
+    "DomainError",
+    "BudgetError",
+    "NumericsError",
+    "AccuracyError",
+    "EvaluationError",
+]
 
 
 class DomainError(ValueError):
@@ -18,6 +27,15 @@ def _check_rho(rho):
     """DomainError unless the amplitude rho is a positive finite real."""
     if not (rho > 0 and math.isfinite(rho)):
         raise DomainError("rho must be a positive finite real")
+
+
+def _check_q1(params):
+    """DomainError unless params.q is 1, for the functions that solve the
+    plain growth rate only; lyapunov_q handles every q."""
+    if params.q != 1:
+        raise DomainError(
+            "this function solves q = 1 only; use lyapunov_q for q = %d" % params.q
+        )
 
 
 class BudgetError(RuntimeError):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DomainError, _check_rho
-from .numerics import _refine_bracket, softplus
+from .errors import DomainError, _check_q1, _check_rho
+from .numerics import _bisect, _refine_bracket, softplus
 
 __all__ = [
     "MeanFieldResult",
@@ -41,16 +41,13 @@ class MeanFieldResult:
     """Selected stationary occupation a_star with its value lambda_bar.
 
     branch_a1/branch_a2 hold the outer stationary points when three
-    exist (None otherwise); delta is the coexistence gap and is only
-    filled by the on-curve helpers, since a2 - a1 equals the gap
-    equation's solution on the curve alone.
+    exist (None otherwise).
     """
 
     a_star: float
     branch_a1: float | None
     branch_a2: float | None
     lambda_bar: float
-    delta: float | None
 
 
 def mf_beta_level(a, rho):
@@ -67,15 +64,18 @@ def mf_beta_level(a, rho):
 def mf_lambda(params):
     """Flat-profile growth rate bound at (rho, beta).
 
-    Finds every stationary occupation, then selects per the sign of
-    log(rho) + beta/3: above the curve the high branch wins, below it
-    the low one; exactly on it the branches tie and the high one is
-    reported. beta = 0 gives exactly a = rho/(1+rho), log(1+rho).
+    Finds the outer stationary occupations, the maxima of the flat
+    functional, then selects per the sign of log(rho) + beta/3: above
+    the curve the high branch wins, below it the low one; exactly on it
+    the branches tie and the high one is reported. The middle stationary
+    point, a minimum, is never refined. beta = 0 gives exactly
+    a = rho/(1+rho), log(1+rho).
     """
+    _check_q1(params)
     rho, beta = params.rho, params.beta
     lr = math.log(rho)
     if beta == 0.0:
-        return MeanFieldResult(rho / (1.0 + rho), None, None, math.log1p(rho), None)
+        return MeanFieldResult(rho / (1.0 + rho), None, None, math.log1p(rho))
 
     # stationarity in t = logit(a) - log(rho), whose roots lie in
     # [0, 2*beta/3]; unlike logit(a), t keeps its sign for tiny beta
@@ -90,47 +90,34 @@ def mf_lambda(params):
         x_fold = 2.0 * math.log1p(s) + math.log(beta / 6.0)
         cuts[1:1] = [min(max(x - lr, 0.0), cuts[-1]) for x in (-x_fold, x_fold)]
     g_cuts = [g(t) for t in cuts]
-    # the refinement stops at a bracket 4*eps*t wide, where |g| at its
-    # better end can reach about 2*eps*t*|g'| plus the rounding of g, so
-    # with t up to 2*beta/3 the target is 2*eps*beta from beta about 2250
-    tol = max(1e-12, 2.0 * np.finfo(float).eps * beta)
     roots = []
-    for lo, hi, g_lo, g_hi in zip(cuts, cuts[1:], g_cuts, g_cuts[1:]):
+    # the outer monotone pieces: the first and the last
+    for lo, hi, g_lo, g_hi in zip(cuts[::2], cuts[1::2], g_cuts[::2], g_cuts[1::2]):
         if lo < hi and min(g_lo, g_hi) <= 0.0 <= max(g_lo, g_hi):
-            roots.append(_refine_bracket(g, lo, hi, g_lo, g_hi, tol) + lr)
+            roots.append(_refine_bracket(g, lo, hi, g_lo, g_hi, 1e-12) + lr)
     a1 = a2 = None
     if len(roots) == 1:
         x_star = roots[0]
     else:
-        x1, x2 = roots[0], roots[-1]
+        x1, x2 = roots
         a1, a2 = float(expit(x1)), float(expit(x2))
         x_star = x2 if lr >= -beta / 3.0 else x1
     a_star = float(expit(x_star))
     lambda_bar = -(beta / 3.0) * a_star * a_star + float(softplus(x_star))
-    return MeanFieldResult(
-        a_star=a_star,
-        branch_a1=a1,
-        branch_a2=a2,
-        lambda_bar=lambda_bar,
-        delta=None,
-    )
+    return MeanFieldResult(a_star, a1, a2, lambda_bar)
 
 
 def mf_gap(beta):
     """Positive solution of delta = tanh(beta*delta/6), beta > 6.
 
-    Plain bisection on (0, 1): the left edge is on the tanh side of the
-    fixed point for any beta > 6, the right edge always on the other.
+    Bisection on (0, 1) down to adjacent floats: the left edge is on the
+    tanh side of the fixed point for any beta > 6, the right edge always
+    on the other.
     """
     if not beta > 6.0:
         raise DomainError("the gap equation has no positive solution for beta <= 6")
-    lo, hi = 1e-12, 1.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if math.tanh(beta * mid / 6.0) > mid:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda x: math.tanh(beta * x / 6.0) > x, 1e-12, 1.0,
+                     np.finfo(float).eps)
     return 0.5 * (lo + hi)
 
 

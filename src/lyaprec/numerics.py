@@ -3,9 +3,10 @@
 Four families of tools live here: adaptive panel quadrature with an
 exact substitution for integrands that blow up like 1/sqrt(y) at the
 left endpoint, a fixed graded rule for the kernel family of the
-boundary equation, real polylogarithms of order 2 and 3, and a refiner
-for a root bracketed on a monotone piece, which each caller names
-itself.
+boundary equation, real polylogarithms of order 2 and 3, and the
+bracketed root searches: a bisection on a predicate down to a relative
+width, and a refiner for a sign change on a monotone piece, which each
+caller names itself.
 Everything is a pure function. The only shared state is a bounded
 cache of boundary-kernel panel rules, one per panel count; its arrays
 are built whole before they are published and are read-only, and the
@@ -299,8 +300,21 @@ def polylog(order, z):
     )
 
 
+def _bisect(below, lo, hi, rel):
+    """Halve [lo, hi] on below(mid) until hi - lo <= rel*lo."""
+    while hi - lo > rel * lo:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
-    """Shrink a sign-change bracket until |f| <= tol at the returned point.
+    """Shrink a sign-change bracket until |f| <= tol at the returned point,
+    or until it is 4 ulp wide, where its better end is returned: for a
+    continuous f the root then lies in it to rounding.
 
     Secant steps while they stay inside the bracket, with a bisection
     fallback, and a forced bisection whenever four consecutive steps
@@ -345,12 +359,7 @@ def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
         xp, fp = xc, fc
         xc, fc = cand, fcand
         if (x1 - x0) <= 4 * np.finfo(float).eps * max(abs(x0), abs(x1)):
-            best, fbest = (x0, f0) if abs(f0) <= abs(f1) else (x1, f1)
-            if abs(fbest) <= tol:
-                return best
-            raise NumericsError(
-                "bracket collapsed at x=%r with residual %r > tol" % (best, fbest)
-            )
+            return x0 if abs(f0) <= abs(f1) else x1
     raise NumericsError("root refinement did not reach |f| <= tol")
 
 

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from .errors import DomainError, NumericsError, _check_rho, _stage
 from .meanfield import mf_beta_level, mf_gap
-from .numerics import inverse_softplus, polylog, softplus_diff
+from .numerics import _bisect, inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
     _folds,
@@ -135,6 +134,10 @@ def _slope_scan(blevel, rho, a_lo, a_hi, h, n):
 
 def _slope_brent(blevel, rho, a_lo, a_hi, h, xatol):
     """Bounded-Brent minimum of the beta-level slope over [a_lo, a_hi]."""
+    # the package's only use of scipy.optimize, imported here so that
+    # import lyaprec does not load it
+    from scipy.optimize import minimize_scalar
+
     return minimize_scalar(
         lambda x: _slope(blevel(x + h * _STENCIL, rho), h),
         bounds=(a_lo, a_hi),
@@ -150,17 +153,6 @@ def _min_slope(blevel, rho, a_lo, a_hi, h, grid_n=1024):
     res = _slope_brent(blevel, rho, grid[max(i - 1, 0)],
                        grid[min(i + 1, grid_n - 1)], h, 1e-12)
     return float(res.fun), float(res.x)
-
-
-def _bisect(below, lo, hi, rel):
-    """Halve [lo, hi] on below(mid) until hi - lo <= rel*lo."""
-    while hi - lo > rel * lo:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 # relative width of the fold-scan bracket, which the finite-difference

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .errors import DomainError, NumericsError, _check_rho, _stage
+from .errors import DomainError, NumericsError, _check_q1, _check_rho, _stage
 from .numerics import (
     ACCURATE_QUADRATURE,
     _NODES15,
@@ -75,7 +75,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelParams:
     """Phase-plane coordinates: amplitude rho > 0, scaled variance beta >= 0,
-    and the moment order q (a positive integer, 1 for the plain growth rate)."""
+    and the moment order q (a positive integer, 1 for the plain growth rate).
+    Only lyapunov_q solves q > 1; the q = 1 solvers raise DomainError for it."""
 
     rho: float
     beta: float
@@ -448,6 +449,7 @@ def solve_h1(params):
     solve that lyapunov and the CLI share. Logits follow from
     a = inverse_softplus(b + log(1+rho)).
     """
+    _check_q1(params)
     if not params.beta > 0:
         raise DomainError("solve_h1 needs beta > 0")
     rho, beta = params.rho, params.beta
@@ -470,6 +472,7 @@ def lambda_of_h1(h1, params, spec=None):
     there, can pass a panel that hides the softplus knee at x = 0; the
     point x = 40, w = h1 - 40, is then a breakpoint.
     """
+    _check_q1(params)
     if not params.beta > 0:
         raise DomainError("lambda_of_h1 needs beta > 0")
     lr = math.log(params.rho)
@@ -496,6 +499,7 @@ def lambda_of_h1(h1, params, spec=None):
 def d_of_h1(h1, params):
     """Mean occupation of the branch with boundary logit h1:
     sqrt(log((1+e^{h1})/(1+rho)) / beta)."""
+    _check_q1(params)
     if not params.beta > 0:
         raise DomainError("d_of_h1 needs beta > 0")
     lr = math.log(params.rho)
@@ -528,6 +532,7 @@ def lambda_of_d(d, params):
     map, but computed through an unrelated integral; the two routes
     agreeing is a strong mutual consistency check.
     """
+    _check_q1(params)
     if not (0.0 < d < 1.0):
         raise DomainError("lambda_of_d needs d in (0, 1)")
     rho, beta = params.rho, params.beta
@@ -554,6 +559,7 @@ def lyapunov(params):
     search", "root refinement" or "branch values") and the (rho, beta)
     at which it arose.
     """
+    _check_q1(params)
     return _solve_row(params.rho, [params.beta])[0]
 
 
@@ -631,6 +637,7 @@ def reconstruct_profile(branch, params, nodes=2000):
     S(w) = 2*sqrt(beta)*(1 - y) by a vectorized Newton step off a
     precomputed anchor table. Endpoints are pinned exactly.
     """
+    _check_q1(params)
     if nodes < 2:
         raise DomainError("profile needs at least 2 nodes")
     rho, beta = params.rho, params.beta

@@ -154,6 +154,10 @@ def test_exit_codes(monkeypatch, capsys):
     # past beta = 1e170 the mean-field root is refined to rounding in beta
     assert main(["lyapunov", "--rho", "0.1", "--beta", "1e200"]) == 0
     assert main(["meanfield", "--rho", "0.1", "--beta", "1e200"]) == 0
+    # at tiny rho the middle root's bracket reaches 4 ulp with |g| above
+    # 1e-12; mf_lambda refines only the outer roots
+    assert main(["meanfield", "--rho", "7.130172008771756e-120",
+                 "--beta", "759.080933562806"]) == 0
     assert main(["nonsense"]) == 2
     monkeypatch.setenv("LYAPREC_THREADS", "abc")
     assert main(["simulate", "--n", "10", "--paths", "100"]) == 2
@@ -250,6 +254,15 @@ def test_module_entry_point():
     assert run.returncode == 0
     assert run.stdout == (GOLDEN / "lyapunov_small.csv").read_bytes()
     assert _python_m_lyaprec("nonsense").returncode == 2
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the finite-difference endpoint imports it on first use
+    env = dict(os.environ)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, lyaprec; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=300).returncode == 0
 
 
 def test_config_file_precedence(tmp_path):

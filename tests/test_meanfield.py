@@ -53,7 +53,7 @@ def test_huge_beta_is_finite(beta):
 @pytest.mark.parametrize("rho", [1e-8, 1e-3, 0.1, 0.5, 2.0])
 def test_huge_beta_refines_to_rounding(rho, beta):
     # the stationarity residual rounds at about eps*beta here, far above
-    # 1e-12, which made the refinement raise "bracket collapsed"
+    # 1e-12, so the refinement ends on a 4-ulp bracket
     params = ModelParams(rho, beta)
     lam = mf_lambda(params).lambda_bar
     assert math.isfinite(lam)
@@ -78,6 +78,28 @@ def test_gap_fixed_point():
     for bad in (6.0, 5.0, 0.0):
         with pytest.raises(DomainError):
             mf_gap(bad)
+
+
+def _fixed_step_gap(beta):
+    # reference: a fixed 120-step bisection, which keeps the bracket on the
+    # same pair of adjacent floats once it reaches them
+    lo, hi = 1e-12, 1.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if math.tanh(beta * mid / 6.0) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_gap_matches_fixed_step_bisection():
+    # both halve the same brackets down to adjacent floats
+    rng = np.random.default_rng(3)
+    betas = 6.0 * np.exp(rng.uniform(0.0, math.log(1e300 / 6.0), 4000))
+    edges = [math.nextafter(6.0, math.inf), 6.0 + 1e-15, 6.0 + 1e-9, 1e300]
+    for beta in betas.tolist() + edges:
+        assert mf_gap(beta) == _fixed_step_gap(beta), beta
 
 
 def test_curve_and_coexistence():
@@ -129,3 +151,18 @@ def test_occupation_near_one(rho, beta):
         res.lambda_bar + 1e-12 * res.lambda_bar
     )
     assert res.lambda_bar <= lyapunov(params).lambda_ + 1e-9
+
+
+def test_tiny_rho_sweep_returns_the_larger_outer_root():
+    # rho from 1e-300 to 1e-40, where refining the middle root raised
+    # "bracket collapsed" on 228 of these draws; it is never returned
+    rng = np.random.default_rng(7)
+    rhos = np.exp(rng.uniform(math.log(1e-300), math.log(1e-40), 2000))
+    betas = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 2000))
+    for rho, beta in zip(rhos.tolist(), betas.tolist()):
+        res = mf_lambda(ModelParams(rho, beta))
+        value = _flat_functional(res.a_star, rho, beta)
+        assert res.lambda_bar == pytest.approx(value, rel=1e-12), (rho, beta)
+        for a in (res.branch_a1, res.branch_a2):
+            if a is not None:
+                assert value >= _flat_functional(a, rho, beta), (rho, beta)

@@ -73,6 +73,18 @@ def test_refine_bracket_prints_plain_abscissa():
     assert str(info.value) == "non-finite value during root refinement at x=0.5"
 
 
+def test_refine_bracket_stops_at_four_ulp():
+    # a steep line whose root falls between two floats: |f| at every float
+    # is far above tol, so the search ends on a 4-ulp bracket and returns
+    # its better end instead of raising
+    root = 1.0 / 3.0 + 1e-17
+    f = lambda x: 1e20 * (x - 1.0 / 3.0) - 1e3
+    x = _refine_bracket(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    assert abs(x - root) <= 4 * math.ulp(root)
+    assert abs(f(x)) <= abs(f(math.nextafter(x, math.inf)))
+    assert abs(f(x)) <= abs(f(math.nextafter(x, -math.inf)))
+
+
 def test_sqrt_singularity_power_laws():
     # integral of y^(k-1/2) over [0, U] has the closed form U^(k+1/2)/(k+1/2)
     for k in range(5):

@@ -588,6 +588,24 @@ def test_tie_at_transition(rho):
     assert res.selected.d == max(b.d for b in res.all_branches)
 
 
+# every function that takes ModelParams but solves q = 1 only
+@pytest.mark.parametrize("call", [
+    lyapunov,
+    solve_h1,
+    lambda p: lambda_of_h1(1.0, p),
+    lambda p: d_of_h1(1.0, p),
+    lambda p: lambda_of_d(0.5, p),
+    mf_lambda,
+    lambda p: reconstruct_profile(lyapunov(ModelParams(0.1, 2.0)).selected, p),
+], ids=["lyapunov", "solve_h1", "lambda_of_h1", "d_of_h1", "lambda_of_d",
+        "mf_lambda", "reconstruct_profile"])
+def test_q1_solvers_refuse_other_moment_orders(call):
+    # the solver they name answers, unlike the q = 1 value 0.1017110050713465
+    with pytest.raises(DomainError, match="use lyapunov_q for q = 3$"):
+        call(ModelParams(0.1, 2.0, q=3))
+    assert lyapunov_q(ModelParams(0.1, 2.0, q=3)) == pytest.approx(0.5443505679360885, rel=1e-12)
+
+
 def test_moment_order_one_matches_base():
     assert lyapunov_q(ModelParams(0.2, 3.0, q=1)) == lyapunov(
         ModelParams(0.2, 3.0)
