@@ -12,6 +12,21 @@ Reproducibility contract: path chunks draw from independent
 counter-based substreams keyed by (seed, chunk index), and chunk sizing
 depends only on n, so results are bit-identical regardless of how many
 worker threads reduce the chunks.
+
+Each chunk is one in-place pass over one buffer of rows x (n-1) draws:
+the Gaussian increments are summed into Z, shifted to log rho + Z_i, and
+mapped to log a_i by softplus(x) = max(x, 0) + log1p(exp(-|x|)), which
+runs on vectorized ufuncs and cannot overflow. With noise b_i = value *
+xi_i the recursion is not stepped but summed in closed form,
+
+    x_n = P_n (x0 + value * S),  S = sum_i xi_i / P_{i+1},  P_k = a_0 ... a_{k-1},
+
+where every 1/P_{i+1} = exp(-C_{i+1}) <= 1 comes from the cumulative
+sum C of log a >= 0, and log x_n = C_n + logaddexp(log x0, log(value * S))
+stays finite for every finite input. The random stream is unchanged
+by this form: xi is the standard draw, and numpy's exponential(v) and
+uniform(0, v) are v * standard_exponential() and v * random() bit for
+bit.
 """
 from __future__ import annotations
 
@@ -159,41 +174,66 @@ def _chunk_rng(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _softplus_in_place(x):
+    """log(1 + e^x) written over x as max(x, 0) + log1p(e^-|x|): vector
+    ufuncs throughout, and no overflow for any x."""
+    pos = np.maximum(x, 0.0)
+    np.abs(x, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.log1p(x, out=x)
+    x += pos
+
+
 def _simulate_chunk(spec, chunk_index, rows, with_components):
     n = spec.n
     rng = _chunk_rng(spec.seed, chunk_index)
     with np.errstate(divide="ignore"):
         log_rho = np.log(spec.rho)
-    if n > 1:
-        v = rng.normal(0.0, spec.sigma * math.sqrt(spec.tau), size=(rows, n - 1))
-        w = np.cumsum(v, axis=1)
-        drift = 0.5 * spec.sigma ** 2 * spec.tau * np.arange(1, n)
-        z = np.concatenate([np.zeros((rows, 1)), w - drift], axis=1)
-    else:
-        z = np.zeros((rows, 1))
-    log_a = np.logaddexp(0.0, log_rho + z)
-    sum_log_a = log_a.sum(axis=1)
+    # Z_0 = 0, so log a_0 is one number; the buffer, one row per path,
+    # turns from the increments of Z_1 .. Z_{n-1} into log a_1 .. log a_{n-1}
+    head = float(np.logaddexp(0.0, log_rho))
+    buf = rng.standard_normal(size=(rows, n - 1))
+    buf *= spec.sigma * math.sqrt(spec.tau)
+    np.cumsum(buf, axis=1, out=buf)
+    buf -= 0.5 * spec.sigma ** 2 * spec.tau * np.arange(1, n)
+    buf += log_rho
+    _softplus_in_place(buf)
+    sum_log_a = head + buf.sum(axis=1)
 
     kind = spec.noise.kind
+    value = spec.noise.value
+    xi = None  # b_i = value * xi_i; constant noise has xi_i = 1
+    if kind == "exponential":
+        xi = rng.standard_exponential(size=(rows, n))
+    elif kind == "uniform":
+        xi = rng.random(size=(rows, n))
     if kind == "none":
         log_x = math.log(spec.x0) + sum_log_a
-        sum_b = np.zeros(rows)
     else:
-        if kind == "constant":
-            b = np.full((rows, n), spec.noise.value)
-        elif kind == "exponential":
-            b = rng.exponential(spec.noise.value, size=(rows, n))
+        # x_n = P_n (x0 + value * sum_i xi_i / P_{i+1}), P_k = a_0 ... a_{k-1},
+        # where 1/P_{i+1} = e^-head * e^-D_i and D_i = log a_1 + ... + log a_i
+        # >= 0, so no term overflows
+        np.cumsum(buf, axis=1, out=buf)
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        if xi is None:
+            tail = 1.0 + buf.sum(axis=1)
         else:
-            b = rng.uniform(0.0, spec.noise.value, size=(rows, n))
-        with np.errstate(divide="ignore"):
-            log_b = np.log(b)
-        log_x = np.full(rows, math.log(spec.x0))
-        for i in range(n):
-            log_x = np.logaddexp(log_a[:, i] + log_x, log_b[:, i])
-        sum_b = b.sum(axis=1)
-    if with_components:
-        return log_x, sum_log_a, sum_b
-    return log_x
+            buf *= xi[:, 1:]
+            tail = xi[:, 0] + buf.sum(axis=1)
+        with np.errstate(divide="ignore"):  # value 0, or every xi_i 0
+            log_noise = np.log(value) - head + np.log(tail)
+        log_x = sum_log_a + np.logaddexp(math.log(spec.x0), log_noise)
+    if not with_components:
+        return log_x
+    if kind == "none":
+        sum_b = np.zeros(rows)
+    elif xi is None:
+        sum_b = np.full(rows, n * value)
+    else:
+        sum_b = value * xi.sum(axis=1)
+    return log_x, sum_log_a, sum_b
 
 
 def simulate_paths(spec, with_components=False):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from lyaprec.simulate import (
     lln_check,
     simulate_paths,
 )
+from lyaprec.simulate import _chunk_rng, _chunk_rows
 
 
 def test_spec_validation():
@@ -207,12 +209,15 @@ def test_estimator_needs_two_paths():
 
 
 def test_determinism_and_thread_invariance():
-    s = SimSpec(n=37, rho=0.3, sigma=0.12, paths=50000, seed=99)
-    a = estimate_moment(s)
-    b = estimate_moment(s)
-    c = estimate_moment(s, threads=4)
-    assert a.log_moment == b.log_moment == c.log_moment
-    assert a.stderr_log == c.stderr_log
+    base = SimSpec(n=37, rho=0.3, sigma=0.12, paths=50000, seed=99)
+    for kind, value in (("none", 0.0), ("constant", 0.8), ("exponential", 0.8),
+                        ("uniform", 0.8)):
+        s = replace(base, noise=NoiseSpec(kind, value))
+        a = estimate_moment(s)
+        b = estimate_moment(s)
+        c = estimate_moment(s, threads=4)
+        assert a.log_moment == b.log_moment == c.log_moment, kind
+        assert a.stderr_log == c.stderr_log, kind
 
 
 def test_chunking_covers_all_paths():
@@ -273,3 +278,81 @@ def test_growth_rate_noise_invariance():
         b = estimate_moment(noisy).log_moment / n
         gaps.append(abs(a - b))
     assert gaps[-1] < gaps[0]
+
+
+def _reference_paths(spec):
+    """The step-by-step log-space recursion
+    log x_{i+1} = logaddexp(log a_i + log x_i, log b_i) on the chunk streams
+    of simulate_paths, as (log_x, sum_log_a, sum_b) per chunk."""
+    n, kind, value = spec.n, spec.noise.kind, spec.noise.value
+    rows_per = _chunk_rows(n)
+    produced = chunk_index = 0
+    while produced < spec.paths:
+        rows = min(rows_per, spec.paths - produced)
+        rng = _chunk_rng(spec.seed, chunk_index)
+        with np.errstate(divide="ignore"):
+            log_rho = np.log(spec.rho)
+        z = np.zeros((rows, n))
+        if n > 1:
+            v = rng.normal(0.0, spec.sigma * math.sqrt(spec.tau), size=(rows, n - 1))
+            drift = 0.5 * spec.sigma ** 2 * spec.tau * np.arange(1, n)
+            z[:, 1:] = np.cumsum(v, axis=1) - drift
+        log_a = np.logaddexp(0.0, log_rho + z)
+        if kind == "exponential":
+            b = rng.exponential(value, size=(rows, n))
+        elif kind == "uniform":
+            b = rng.uniform(0.0, value, size=(rows, n))
+        else:
+            b = np.full((rows, n), value)
+        with np.errstate(divide="ignore"):
+            log_b = np.log(b)
+        log_x = np.full(rows, math.log(spec.x0))
+        for i in range(n):
+            log_x = np.logaddexp(log_a[:, i] + log_x, log_b[:, i])
+        yield log_x, log_a.sum(axis=1), b.sum(axis=1)
+        produced += rows
+        chunk_index += 1
+
+
+_KINDS = [("none", 0.0), ("constant", 0.0), ("constant", 0.7),
+          ("exponential", 1.5), ("uniform", 2.0)]
+# n = 70000 runs in 64-row chunks, so 130 paths end in a partial chunk
+_ORACLE_CASES = [
+    (n, rho, paths, kind, value)
+    for n, rho, paths in ((50, 0.2, 300), (50, 0.0, 300), (1, 0.3, 40))
+    for kind, value in _KINDS
+] + [(70000, 0.2, 130, "none", 0.0), (70000, 0.2, 130, "exponential", 1.5)]
+
+
+@pytest.mark.parametrize("n,rho,paths,kind,value", _ORACLE_CASES)
+def test_closed_form_matches_step_recursion(n, rho, paths, kind, value):
+    spec = SimSpec(n=n, rho=rho, sigma=0.3 / math.sqrt(n), x0=1.3, paths=paths,
+                   seed=4, noise=NoiseSpec(kind, value))
+    got = [np.concatenate(c) for c in zip(*simulate_paths(spec, with_components=True))]
+    want = [np.concatenate(c) for c in zip(*_reference_paths(spec))]
+    for name, g, w in zip(("log_x", "sum_log_a", "sum_b"), got, want):
+        assert g.shape == (paths,)
+        np.testing.assert_allclose(g, w, rtol=1e-13, atol=0, err_msg=name)
+
+
+def _moment_without_warnings(rho, sigma=0.3, **kwargs):
+    spec = SimSpec(n=12, rho=rho, sigma=sigma, paths=1000, seed=1, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return estimate_moment(spec).log_moment
+
+
+def test_noise_at_the_float_edge_stays_finite_and_quiet():
+    # sum b_i overflows here; it is summed only for with_components
+    got = _moment_without_warnings(
+        rho=0.2, x0=1e308, noise=NoiseSpec("exponential", 1e307))
+    assert got == pytest.approx(713.6483092878731, rel=1e-13)
+
+
+@pytest.mark.parametrize("rho,sigma,want", [
+    (1e300, 0.3, 8303.244089989805),  # log rho + Z_i above 709
+    (0.2, 50.0, 0.1823215567939549),  # drift sends e^(Z_i) far below 1e-308
+])
+def test_softplus_far_from_zero(rho, sigma, want):
+    assert _moment_without_warnings(rho=rho, sigma=sigma) == pytest.approx(
+        want, rel=1e-13)
