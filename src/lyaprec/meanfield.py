@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, _check_q1, _check_rho
-from .numerics import _bisect, _refine_bracket, softplus
+from .numerics import _bisect, _refine_bracket, expit, softplus
 
 __all__ = [
     "MeanFieldResult",
@@ -82,7 +81,9 @@ def mf_lambda(params):
     def g(t):
         return t - (2.0 / 3.0) * beta * float(expit(t + lr))
 
-    cuts = [0.0, 2.0 * beta / 3.0]
+    # beta/1.5 rounds the same quotient as 2*beta/3, where 2*beta overflows
+    # for beta from about 9e307
+    cuts = [0.0, beta / 1.5]
     if beta > 6.0:
         # 2*atanh(s) with s = sqrt(1 - 6/beta), as 1 - s = (6/beta)/(1 + s),
         # finite where 6/beta rounds away

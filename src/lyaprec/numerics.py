@@ -1,12 +1,21 @@
 """Shared numerical kernels.
 
-Four families of tools live here: adaptive panel quadrature with an
+Five families of tools live here: adaptive panel quadrature with an
 exact substitution for integrands that blow up like 1/sqrt(y) at the
 left endpoint, a fixed graded rule for the kernel family of the
-boundary equation, real polylogarithms of order 2 and 3, and the
-bracketed root searches: a bisection on a predicate down to a relative
+boundary equation, real polylogarithms of order 2 and 3, the
+bracketed root searches (a bisection on a predicate down to a relative
 width, and a refiner for a sign change on a monotone piece, which each
-caller names itself.
+caller names itself), and the logistic family: softplus, its inverse
+and differences, expit, and a log-sum-exp.
+The package needs no SciPy for any of them. The Gauss-Legendre tables
+are SciPy's special.roots_legendre(7) and (15) written out as float
+literals, each the same bit for bit (numpy's leggauss differs at 2 of
+7 and 4 of 15 nodes, and at every weight). expit has two contracts: a
+scalar goes through math.exp, the libm call SciPy's expit makes, and
+matches it bit for bit; an array goes through np.exp, whose vector loop
+can be 1 ulp off libm, which leaves each entry within 3 eps relative of
+SciPy's. The log-sum-exp is SciPy's reduction from 1.15 on, bit for bit.
 Everything is a pure function. The only shared state is a bounded
 cache of boundary-kernel panel rules, one per panel count; its arrays
 are built whole before they are published and are read-only, and the
@@ -23,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, roots_legendre
 
 from .errors import AccuracyError, DomainError, EvaluationError, NumericsError
 
@@ -39,8 +47,25 @@ __all__ = [
     "softplus_diff",
 ]
 
-_NODES7, _WEIGHTS7 = roots_legendre(7)
-_NODES15, _WEIGHTS15 = roots_legendre(15)
+# Gauss-Legendre nodes and weights on [-1, 1]: SciPy's
+# special.roots_legendre(7) and (15), each literal's repr the same as
+# SciPy's value
+_NODES7 = np.array([
+    -0.9491079123427584, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427584])
+_WEIGHTS7 = np.array([
+    0.12948496616886992, 0.2797053914892766, 0.38183005050511876, 0.4179591836734691,
+    0.38183005050511876, 0.2797053914892766, 0.12948496616886992])
+_NODES15 = np.array([
+    -0.9879925180204854, -0.937273392400706, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743454, 0.0,
+    0.20119409399743454, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.937273392400706, 0.9879925180204854])
+_WEIGHTS15 = np.array([
+    0.030753241996118154, 0.07036604748810715, 0.10715922046717176, 0.13957067792615432,
+    0.16626920581699411, 0.18616100001556224, 0.19843148532711163, 0.20257824192556137,
+    0.19843148532711163, 0.18616100001556224, 0.16626920581699411, 0.13957067792615432,
+    0.10715922046717176, 0.07036604748810715, 0.030753241996118154])
 
 _ZETA3 = 1.2020569031595942854
 _PI2_6 = math.pi ** 2 / 6.0
@@ -212,8 +237,8 @@ def _boundary_kernels(b, rho):
         exc.index = int(np.argmax(b))
         raise exc
     if b_max > 0.0:
-        # a difference of logs, as b_max/rho can overflow
-        doublings = max(1, math.ceil(math.log2(2.0 * b_max) - math.log2(min(rho, 1.0))))
+        # a difference of logs, as b_max/rho can overflow, and 2*b_max too
+        doublings = max(1, math.ceil(math.log2(b_max) + 1.0 - math.log2(min(rho, 1.0))))
     layer, u2, weights = _kernel_rule(doublings)
     # 1/D, u^2/D and v*(2-v)*e^(-b*v*(2-v))/D^2, the integrand of -dK0/db,
     # each a row block of one buffer
@@ -338,12 +363,15 @@ def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
                 force_bisect = True
             checkpoint_width = x1 - x0
             since_check = 0
+        mid = 0.5 * (x0 + x1)
+        if math.isinf(mid):  # x0 + x1 overflowed
+            mid = 0.5 * x0 + 0.5 * x1
         if not force_bisect and fc != fp:
             cand = xc - fc * (xc - xp) / (fc - fp)
         else:
-            cand = 0.5 * (x0 + x1)
+            cand = mid
         if not (x0 < cand < x1):
-            cand = 0.5 * (x0 + x1)
+            cand = mid
         fcand = float(f(cand))
         if not math.isfinite(fcand):
             raise EvaluationError(
@@ -361,6 +389,37 @@ def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
         if (x1 - x0) <= 4 * np.finfo(float).eps * max(abs(x0), abs(x1)):
             return x0 if abs(f0) <= abs(f1) else x1
     raise NumericsError("root refinement did not reach |f| <= tol")
+
+
+def expit(x):
+    """Logistic function 1/(1 + e^-x), in the form of SciPy's special.expit.
+
+    A 0-d input gives a Python float through math.exp, the libm call
+    SciPy makes, so the value is SciPy's bit for bit; where e^-x
+    overflows (x below about -709.78) it is 0.0, as in SciPy. An array
+    goes through np.exp, whose vector loop can differ from libm by 1 ulp;
+    through the sum and the division that leaves each entry within 3 eps
+    relative of SciPy's. Its overflow gives 0.0 with no warning."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        try:
+            return 1.0 / (1.0 + math.exp(-float(x)))
+        except OverflowError:
+            return 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) over a 1-d array whose maximum is not -inf or nan,
+    as SciPy's special.logsumexp computes it from SciPy 1.15 on, bit for
+    bit: the k entries equal to the maximum m leave the sum s of
+    exp(a - m), and the value is log1p(s/k) + log(k) + m."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    at_top = a == top
+    k = np.float64(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(s / k) + np.log(k) + top)
 
 
 def softplus(x):

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, NumericsError, _check_rho, _stage
 from .meanfield import mf_beta_level, mf_gap
-from .numerics import _bisect, inverse_softplus, polylog, softplus_diff
+from .numerics import _bisect, expit, inverse_softplus, polylog, softplus_diff
 from .variational import (
     ModelParams,
     _folds,

@@ -35,9 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .errors import BudgetError, DomainError, NumericsError
+from .numerics import _logsumexp
 
 __all__ = [
     "NoiseSpec",
@@ -350,7 +350,7 @@ def exact_moment(spec):
         if i >= 1:
             new += gauss[:new.size]
         log_w = new
-    log_moment = float(logsumexp(log_w)) + log_x0_term
+    log_moment = _logsumexp(log_w) + log_x0_term
     return MomentEstimate(log_moment, 0.0, "exact_recursion", (q + 1) ** n)
 
 
@@ -392,6 +392,15 @@ def lln_check(spec, ladder=4):
     )
 
 
+def _normal_cdf(z):
+    """Standard normal distribution function at each entry of z,
+    0.5*erfc(-z/sqrt(2)) through math.erfc: within 1.1e-16 of the exact
+    value, and within 2.3e-16 of SciPy's special.ndtr, whose own erf and
+    erfc can differ from libm's in the last bit."""
+    root2 = math.sqrt(2.0)
+    return np.array([0.5 * math.erfc(-v / root2) for v in z.tolist()])
+
+
 def clt_check(spec):
     """Gaussian-fluctuation check at fixed beta.
 
@@ -413,7 +422,7 @@ def clt_check(spec):
     variance_target = (2.0 * spec.beta / 3.0) * f * f
     z = np.sort((log_x - log_x.mean()) / log_x.std(ddof=1))
     ecdf = (np.arange(1, z.size + 1) - 0.5) / z.size
-    qq_max_deviation = float(np.abs(ecdf - ndtr(z)).max())
+    qq_max_deviation = float(np.abs(ecdf - _normal_cdf(z)).max())
     return CLTReport(
         variance_empirical=variance_empirical,
         variance_target=variance_target,

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .errors import DomainError, NumericsError, _check_q1, _check_rho, _stage
 from .numerics import (
@@ -45,6 +44,7 @@ from .numerics import (
     _WEIGHTS15,
     _boundary_kernels,
     _refine_bracket,
+    expit,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -143,8 +143,15 @@ def entropy_I(x):
     arr = np.asarray(x, dtype=float)
     if np.any((arr < 0) | (arr > 1)):
         raise DomainError("entropy_I argument must lie in [0, 1]")
-    out = xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)
-    return float(out) if out.ndim == 0 else out
+    # t*log(t) with its limit 0 at t = 0, as SciPy's special.xlogy(t, t); libm's
+    # log for a scalar, numpy's (within 1 ulp of it) for an array
+    if arr.ndim == 0:
+        x = float(arr)
+        return sum((t * math.log(t) for t in (x, 1.0 - x) if t > 0.0), 0.0)
+    t = np.stack((arr, 1.0 - arr))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(t > 0.0, t * np.log(t), 0.0)
+    return terms[0] + terms[1]
 
 
 def big_F(a, rho):
@@ -225,7 +232,7 @@ def _level(b, rho):
     phi = 1 + 2b*K0'/K0 = d(log B)/d(log b) at an array of b = beta*d^2.
     The roots at beta solve B(b) = beta; phi has the sign of g'(d)."""
     K0, K1, dK0 = _boundary_kernels(b, rho)
-    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + 2.0 * b * dK0 / K0
+    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + b * (2.0 * dK0) / K0
 
 
 def _folds(rho):
@@ -319,7 +326,7 @@ def _level_roots(rho, beta, neg, pos, d):
         b = beta * d * d
         K0, K1, dK0 = _boundary_kernels(b, rho)
         r = d * (1.0 + rho) * K0 - 1.0
-        phi = 1.0 + 2.0 * b * dK0 / K0
+        phi = 1.0 + b * (2.0 * dK0) / K0
         done = np.abs(r) <= tol
         below = r <= 0
         neg, pos = np.where(below, d, neg), np.where(below, pos, d)
@@ -337,8 +344,12 @@ def _level_roots(rho, beta, neg, pos, d):
 def _branch_values(d, rho, beta, K1):
     """Branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1(beta*d^2)
     at an array of stationary occupations d, given K1 there; beta is one
-    value or one per d."""
-    return beta * d * d + math.log1p(rho) - 2.0 * beta * (1.0 + rho) * d ** 3 * K1
+    value or one per d. Where 2*beta*(1+rho) would overflow, the product
+    is taken on beta/2^64 and scaled back, both steps exact, so each
+    value is the same, bit for bit, as from the plain product."""
+    k = np.where(beta > 2.0 ** 1000 / (1.0 + rho), 64, 0)
+    cubic = np.ldexp(2.0 * np.ldexp(beta, -k) * (1.0 + rho) * d ** 3 * K1, k)
+    return beta * d * d + math.log1p(rho) - cubic
 
 
 def _pieces(rho, beta, b, B, phi, b_f, B_f):
@@ -372,14 +383,16 @@ def _pieces(rho, beta, b, B, phi, b_f, B_f):
     # each piece starts on the tangent at its scan node with B nearest
     # beta, where that lands inside the piece; else at its outer end,
     # where Newton does not overshoot. At a subnormal beta, b/beta and
-    # B/beta overflow to inf at the nodes, which then lie in no piece
+    # B/beta overflow to inf at the nodes, and at a huge beta, beta/B
+    # does; the nodes then lie in no piece, and their tangent starts
+    # (inf, nan or 0) are not taken
     beta_p = col[row]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d_scan = np.sqrt(b / beta_p)
         inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
         k = np.argmin(np.where(inside, np.abs(np.log(B / beta_p)), np.inf), axis=1)
-    piece = np.arange(k.size)
-    start = d_scan[piece, k] * (beta[row] / B[k]) ** (0.5 / phi[k])
+        piece = np.arange(k.size)
+        start = d_scan[piece, k] * (beta[row] / B[k]) ** (0.5 / phi[k])
     start = np.where(inside[piece, k] & (lo < start) & (start < hi), start,
                      np.where(lo == rho / (1.0 + rho), lo,
                               np.where(hi == 1.0, hi, np.sqrt(lo * hi))))
@@ -597,7 +610,7 @@ def _select(rho, beta, branches):
         selected=selected,
         all_branches=branches,
         dlambda_drho=selected.d / rho,
-        dlambda_dbeta=(beta * selected.d ** 2 + math.log1p(rho) - lam) / (2.0 * beta),
+        dlambda_dbeta=0.5 * (beta * selected.d ** 2 + math.log1p(rho) - lam) / beta,
         tie=len(contenders) > 1,
     )
 

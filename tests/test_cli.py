@@ -158,6 +158,9 @@ def test_exit_codes(monkeypatch, capsys):
     # 1e-12; mf_lambda refines only the outer roots
     assert main(["meanfield", "--rho", "7.130172008771756e-120",
                  "--beta", "759.080933562806"]) == 0
+    # 2*beta and beta*(1+rho) overflow here; no product holds them
+    assert main(["lyapunov", "--rho", "0.1", "--beta", "8.9e307"]) == 0
+    assert main(["meanfield", "--rho", "0.1", "--beta", "1e308"]) == 0
     assert main(["nonsense"]) == 2
     monkeypatch.setenv("LYAPREC_THREADS", "abc")
     assert main(["simulate", "--n", "10", "--paths", "100"]) == 2
@@ -240,12 +243,15 @@ def test_shared_parser_matches_a_fresh_one(tmp_path, capsys):
     assert outputs(fresh=True) == shared
 
 
-def _python_m_lyaprec(*args):
+def _fresh_python(*args):
     env = dict(os.environ)
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "lyaprec", *args],
-                          capture_output=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+
+
+def _python_m_lyaprec(*args):
+    return _fresh_python("-m", "lyaprec", *args)
 
 
 def test_module_entry_point():
@@ -256,13 +262,24 @@ def test_module_entry_point():
     assert _python_m_lyaprec("nonsense").returncode == 2
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the finite-difference endpoint imports it on first use
-    env = dict(os.environ)
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, lyaprec; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=300).returncode == 0
+# exits 1 and names the first few scipy modules loaded, if any
+_EXIT_ON_SCIPY = ("sys.exit(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')[:5]"
+                  " or None)")
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the finite-difference endpoint loads scipy (scipy.optimize), on
+    # first use
+    run = _fresh_python("-c", "import sys, lyaprec\n" + _EXIT_ON_SCIPY)
+    assert run.returncode == 0, run.stderr.decode()
+
+
+def test_subcommands_at_defaults_leave_scipy_unloaded():
+    code = ("import sys\nfrom lyaprec.cli import main\n"
+            "for command in ('lyapunov', 'bigf', 'phase', 'meanfield', 'simulate', 'appendixb'):\n"
+            "    assert main([command]) == 0, command\n" + _EXIT_ON_SCIPY)
+    run = _fresh_python("-c", code)
+    assert run.returncode == 0, run.stderr.decode()
 
 
 def test_config_file_precedence(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from lyaprec.errors import DomainError
+from lyaprec.errors import DomainError, NumericsError
 from lyaprec.meanfield import (
     MF_CURVE_RHO_MAX,
     mf_beta_level,
@@ -59,6 +59,25 @@ def test_huge_beta_refines_to_rounding(rho, beta):
     assert math.isfinite(lam)
     # both bounds equal beta/3 to rounding, where lyapunov sits up to 5 eps low
     assert lam <= lyapunov(params).lambda_ * (1 + 1e-14)
+
+
+# 2*beta overflows for beta from about 9e307, and beta*(1+rho) from
+# 1.8e308/(1+rho); the products that held them keep their factors of two
+# where they cannot overflow
+@pytest.mark.parametrize("beta", [5e307, 8.9e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("rho", [1e-8, 0.1, 2.0])
+def test_beta_at_the_float_edge(rho, beta):
+    params = ModelParams(rho, beta)
+    lam_mf = mf_lambda(params).lambda_bar
+    assert lam_mf == pytest.approx(beta / 3.0, rel=1e-14)
+    try:
+        lam = lyapunov(params).lambda_
+    except NumericsError as exc:
+        assert exc.stage in ("fold search", "root refinement", "branch values")
+        return
+    assert beta / 3.0 + math.log(rho) <= lam * (1 + 1e-14)
+    assert lam <= (beta / 3.0 + math.log1p(rho)) * (1 + 1e-14)
+    assert lam_mf <= lam * (1 + 1e-14)
 
 
 def test_level_curve_anchor():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import erfi, zeta
 
 from lyaprec import numerics
@@ -14,7 +15,9 @@ from lyaprec.numerics import (
     QuadratureSpec,
     _boundary_kernels,
     _kernel_rule,
+    _logsumexp,
     _refine_bracket,
+    expit,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
     inverse_softplus,
@@ -22,6 +25,7 @@ from lyaprec.numerics import (
     softplus,
     softplus_diff,
 )
+from lyaprec.variational import entropy_I
 
 
 def test_spec_validation():
@@ -295,3 +299,67 @@ def test_softplus_diff_broadcasts():
     out = softplus_diff(np.array([1.0, 2.0, 3.0]), 0.5)
     assert out.shape == (3,)
     assert np.all(np.diff(out) > 0)
+
+
+# The package computes without SciPy; these pin its own helpers to the
+# SciPy functions they replace.
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_legendre_tables_are_scipys(n):
+    nodes, weights = special.roots_legendre(n)
+    assert getattr(numerics, "_NODES%d" % n).tobytes() == nodes.tobytes()
+    assert getattr(numerics, "_WEIGHTS%d" % n).tobytes() == weights.tobytes()
+
+
+def _same(got, want):
+    return (got == want) | (np.isnan(got) & np.isnan(want))
+
+
+def test_scalar_expit_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.normal(0.0, 30.0, 50_000), rng.uniform(-800.0, 800.0, 50_000),
+                        np.linspace(-745.2, -709.0, 2001), rng.uniform(-745.2, -709.0, 2000),
+                        [0.0, -0.0, math.inf, -math.inf, math.nan, -709.78, -709.79]])
+    got = np.array([expit(v) for v in x.tolist()])
+    assert all(type(expit(v)) is float for v in (0.5, np.float64(-800.0), np.array(3.0)))
+    assert _same(got, special.expit(x)).all()
+
+
+def test_array_expit_within_three_eps_of_scipy():
+    # np.exp may be 1 ulp off libm; the sum and the division carry that
+    # to at most about 2.1 eps relative
+    rng = np.random.default_rng(43)
+    x = np.concatenate([rng.normal(0.0, 30.0, 50_000), rng.uniform(-800.0, 800.0, 50_000),
+                        [0.0, math.inf, -math.inf]])
+    got, want = expit(x), special.expit(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 3.0 * np.finfo(float).eps * want)
+    assert np.isnan(expit(np.array([math.nan]))[0])
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for _ in range(3000):
+        size = int(rng.integers(1, 300))
+        a = rng.normal(0.0, float(10.0 ** rng.uniform(-3.0, 3.0)), size)
+        if size > 1 and rng.random() < 0.3:  # a[0] stays finite
+            a[rng.integers(1, size, int(rng.integers(1, size)))] = -math.inf
+        if rng.random() < 0.3:  # tied maxima
+            a[rng.integers(0, size, int(rng.integers(1, size + 1)))] = a.max()
+        if rng.random() < 0.1:
+            a = np.round(a)
+        assert _logsumexp(a) == float(special.logsumexp(a))
+    for a in ([math.inf, 1.0], [1.0], [700.0, 710.0, 710.0], [-math.inf, 3.0, -math.inf]):
+        assert _logsumexp(np.array(a)) == float(special.logsumexp(a))
+
+
+def test_entropy_is_the_xlogy_form():
+    rng = np.random.default_rng(53)
+    x = np.concatenate([rng.random(20_000), 10.0 ** rng.uniform(-320.0, 0.0, 2000),
+                        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000), [0.0, 1.0, 0.5]])
+    want = special.xlogy(x, x) + special.xlogy(1.0 - x, 1.0 - x)
+    got = np.array([entropy_I(v) for v in x.tolist()])
+    assert np.array_equal(got, want)
+    # the array form rounds numpy's log
+    assert np.allclose(entropy_I(x), want, rtol=1e-15, atol=0.0)

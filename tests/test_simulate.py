@@ -18,7 +18,7 @@ from lyaprec.simulate import (
     lln_check,
     simulate_paths,
 )
-from lyaprec.simulate import _chunk_rng, _chunk_rows
+from lyaprec.simulate import _chunk_rng, _chunk_rows, _normal_cdf
 
 
 def test_spec_validation():
@@ -356,3 +356,13 @@ def test_noise_at_the_float_edge_stays_finite_and_quiet():
 def test_softplus_far_from_zero(rho, sigma, want):
     assert _moment_without_warnings(rho=rho, sigma=sigma) == pytest.approx(
         want, rel=1e-13)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # SciPy's ndtr runs its own erf and erfc, which can differ from libm's
+    # by an ulp; through 1 - erfc/2 that is 2.2e-16 absolute at most
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    rng = np.random.default_rng(59)
+    z = np.concatenate([rng.normal(0.0, 3.0, 50_000), rng.uniform(-40.0, 40.0, 10_000),
+                        [0.0, -0.0, 8.3, -38.5, math.inf, -math.inf]])
+    assert np.all(np.abs(_normal_cdf(z) - ndtr(z)) <= 2.0 * np.finfo(float).eps)
