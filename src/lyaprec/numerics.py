@@ -213,20 +213,30 @@ def _kernel_rule(doublings):
     return rule
 
 
-def _boundary_kernels(b, rho):
-    """K0, K1 and dK0/db of the boundary-equation family at an array of b.
+def _boundary_kernels(b, rho, bb=False):
+    """K0, K1 and dK0/db of the boundary-equation family at an array of b,
+    and with bb=True also b^2*d^2K0/db^2.
 
-    K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2 - 1))),
-    dK0/db = -integral of (1-u^2)*e^(b(u^2-1)) / D^2, with D the
-    denominator. In v = 1 - u the exponent is -b*v*(2-v), which keeps its
-    digits where D falls to rho at v = 0; there the integrand has a layer
-    of height 1/rho and width about rho/(2b). A 15-point Gauss-Legendre
-    rule on panels 0, w, 2w, 4w, ..., 1 resolves it, with w the largest
-    power of two at most min(min(rho, 1)/(2*b_max), 1/2). One rule serves
-    the whole call, so the values are smooth in b. The 7-point rule on
-    the same panels is the embedded check: AccuracyError if the two
-    differ by more than 1e-6 relative and by more than subnormal
-    rounding, with the position of the first such b as its index.
+    K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2 - 1))).
+    In v = 1 - u, with w = v*(2-v), E = e^(-b*w) and the denominator
+    D = rho - expm1(-b*w), dK0/db = -integral of w*E/D^2 and
+    d^2K0/db^2 = integral of w^2*E*(D + 2E)/D^3. Near b = rho the second
+    derivative is of order 1/rho^3, past the float range for rho below
+    about 1e-103; b^2 times it stays within range wherever dK0/db does
+    (rho above about 1e-154), and it is what Newton on phi needs. The
+    exponent -b*w keeps
+    its digits where D falls to rho at v = 0; there the integrand has a
+    layer of height 1/rho and width about rho/(2b). A 15-point
+    Gauss-Legendre rule on panels 0, w, 2w, 4w, ..., 1 resolves it, with w
+    the largest power of two at most min(min(rho, 1)/(2*b_max), 1/2). One
+    rule serves the whole call, so the values are smooth in b. The 7-point
+    rule on the same panels is the embedded check of every row returned:
+    AccuracyError if the two differ by more than 1e-6 relative and by more
+    than subnormal rounding, with the position of the first such b as its
+    index. A call without the scaled second derivative does the work of
+    the three rows alone. The rows share one matrix product, whose sums can round
+    differently with the row count, so K0, K1 and dK0/db from a call with
+    it may differ in the last bits from those of a call without it.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     b_max = float(b.max())
@@ -240,10 +250,12 @@ def _boundary_kernels(b, rho):
         # a difference of logs, as b_max/rho can overflow, and 2*b_max too
         doublings = max(1, math.ceil(math.log2(b_max) + 1.0 - math.log2(min(rho, 1.0))))
     layer, u2, weights = _kernel_rule(doublings)
-    # 1/D, u^2/D and v*(2-v)*e^(-b*v*(2-v))/D^2, the integrand of -dK0/db,
-    # each a row block of one buffer
+    # 1/D, u^2/D, w*E/D^2 (the integrand of -dK0/db) and, with bb, b^2
+    # times the integrand of the second derivative, each a row block of
+    # one buffer
     n = layer.size
-    buf = np.empty((b.size, 3, n))
+    rows = 4 if bb else 3
+    buf = np.empty((b.size, rows, n))
     inv, inv_u2, slope = buf[:, 0], buf[:, 1], buf[:, 2]
     np.multiply.outer(b, -layer, out=slope)
     np.expm1(slope, out=slope)
@@ -251,10 +263,21 @@ def _boundary_kernels(b, rho):
     np.reciprocal(inv, out=inv)
     np.multiply(inv, u2, out=inv_u2)
     slope += 1.0
+    if bb:
+        # b*w*(1 + 2E/D), at most about 5 where b is near rho, times
+        # b*w*E/D^2 below
+        curv = buf[:, 3]
+        np.multiply(slope, inv, out=curv)
+        curv *= 2.0
+        curv += 1.0
+        curv *= np.multiply.outer(b, layer)
     slope *= layer
     slope *= inv
     slope *= inv
-    vals = (buf.reshape(-1, n) @ weights).reshape(b.size, 3, 2)
+    if bb:
+        curv *= slope
+        curv *= b[:, None]
+    vals = (buf.reshape(-1, n) @ weights).reshape(b.size, rows, 2)
     vals[:, 2] *= -1.0
     fine = vals[:, :, 0]
     err = np.abs(fine - vals[:, :, 1])
@@ -274,6 +297,8 @@ def _boundary_kernels(b, rho):
             )
             exc.index = int(i[0])
             raise exc
+    if bb:
+        return fine[:, 0], fine[:, 1], fine[:, 2], fine[:, 3]
     return fine[:, 0], fine[:, 1], fine[:, 2]
 
 

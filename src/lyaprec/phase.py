@@ -12,6 +12,7 @@ large-argument asymptotics of the correction integral.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,15 @@ import numpy as np
 
 from .errors import DomainError, NumericsError, _check_rho, _stage
 from .meanfield import mf_beta_level, mf_gap
-from .numerics import _bisect, expit, inverse_softplus, polylog, softplus_diff
+from .numerics import (
+    _NODES7,
+    _WEIGHTS7,
+    _bisect,
+    expit,
+    inverse_softplus,
+    polylog,
+    softplus_diff,
+)
 from .variational import (
     ModelParams,
     _folds,
@@ -332,43 +341,157 @@ def mf_trace(betas):
     return points
 
 
+def _equal_area_start(b, B, phi, b_f, B_f):
+    """A first beta_cr by Maxwell's equal-area rule on the fold scan, with
+    no kernel call, and the two outer roots there as occupations
+    d = sqrt(b/beta); the window's midpoint and its roots where the rule
+    finds no crossing in the window.
+
+    At one beta, the outer branch values differ by
+    lam2 - lam1 = beta^(-1/2) * (integral over s in [b1, b2] of
+    sqrt(beta) - sqrt(B(s))), with b1 and b2 the low and high roots of
+    B(b) = beta, as d/db (2*b^(3/2)*K1(b)) = sqrt(b)*K0(b). Here log B is
+    the cubic Hermite in log b through the scan nodes (b, B) and the
+    polished folds (b_f, B_f), with slope phi (0 at a fold), continued on
+    the end tangents beyond the scan. b1 and b2 invert it on the outer
+    monotone pieces, below the hump and above the dip. The area G(beta)
+    rises with beta at the rate (b2 - b1)/(2*sqrt(beta)); from the chord of
+    G over the window (B_f[1], B_f[0]), safeguarded Newton finds its zero.
+    The roots are good starts for the root solve: they follow the scan's
+    curvature near a fold, where a tangent at one node overshoots."""
+    # the folds join the nodes (a fold on a node leaves a cell of width 0,
+    # which no root or area uses)
+    k = np.searchsorted(b, b_f).tolist()
+    t, y, m = np.log(b).tolist(), np.log(B).tolist(), phi.tolist()
+    for j in (1, 0):
+        t.insert(k[j], math.log(b_f[j]))
+        y.insert(k[j], math.log(B_f[j]))
+        m.insert(k[j], 0.0)
+    hump, dip, last = k[0], k[1] + 1, len(t) - 1
+    # per cell, log B = y0 + u*(s0 + u*(c2 + u*c3)) at log b = t0 + h*u
+    t, y, m = np.array(t), np.array(y), np.array(m)
+    h = np.diff(t)
+    s0, s1, dy = m[:-1] * h, m[1:] * h, np.diff(y)
+    c2, c3 = 3.0 * dy - 2.0 * s0 - s1, s0 + s1 - 2.0 * dy
+    # area[i]: the integral of sqrt(B) db = e^(t + log B/2) dt up to node i,
+    # by 7-point Gauss-Legendre on each cell
+    u = 0.5 + 0.5 * _NODES7
+    cubic = y[:-1, None] + u * (s0[:, None] + u * (c2[:, None] + u * c3[:, None]))
+    cells = 0.5 * h * (np.exp(t[:-1, None] + h[:, None] * u + 0.5 * cubic) @ _WEIGHTS7)
+    area = np.concatenate(([0.0], np.cumsum(cells))).tolist()
+    t, y, m, h, s0, c2, c3 = (a.tolist() for a in (t, y, m, h, s0, c2, c3))
+    gauss = list(zip(u.tolist(), _WEIGHTS7.tolist()))
+
+    def root(Y, first, end):
+        # log b where the Hermite is Y on the rising nodes first..end, and
+        # the area up to there; the integrand of G vanishes at its ends,
+        # so an error in a root moves G only at second order
+        if Y < y[first] and first == 0 or Y > y[end] and end == last:
+            # beyond the scan, on the end tangent, whose area is closed-form;
+            # no root lies above b = beta
+            node = first if Y < y[first] else end
+            x = min(t[node] + (Y - y[node]) / m[node], Y)
+            return x, area[node] + (math.exp(x + 0.5 * Y) - math.exp(t[node] + 0.5 * y[node])) / (
+                1.0 + 0.5 * m[node])
+        i = min(max(bisect.bisect_right(y, Y, first, end + 1) - 1, first), end - 1)
+        t0, y0, p1, p2, p3 = t[i], y[i], s0[i], c2[i], c3[i]
+        a, c, v = 0.0, 1.0, (Y - y0) / (y[i + 1] - y0) if y[i + 1] > y0 else 0.5
+        while c - a > 1e-9:
+            f = y0 + v * (p1 + v * (p2 + v * p3)) - Y
+            a, c = (v, c) if f < 0 else (a, v)
+            df = p1 + v * (2.0 * p2 + 3.0 * v * p3)
+            step = f / df if df > 0 else math.inf
+            if abs(step) <= 1e-9:
+                v -= step
+                break
+            v = v - step if a < v - step < c else 0.5 * (a + c)
+        hv = h[i] * v
+        part = 0.0
+        for node, weight in gauss:
+            w = v * node
+            part += weight * math.exp(t0 + hv * node + 0.5 * (y0 + w * (p1 + w * (p2 + w * p3))))
+        return t0 + hv, area[i] + 0.5 * hv * part
+
+    def gap(beta):
+        # G(beta) and its slope in beta
+        Y = math.log(beta)
+        x1, a1 = root(Y, 0, hump)
+        x2, a2 = root(Y, dip, last)
+        b1, b2 = math.exp(x1), math.exp(x2)
+        return math.sqrt(beta) * (b2 - b1) - (a2 - a1), 0.5 * (b2 - b1) / math.sqrt(beta)
+
+    lo, hi = float(B_f[1]), float(B_f[0])
+    beta = 0.5 * (lo + hi)
+    g_lo, g_hi = gap(lo)[0], gap(hi)[0]
+    if g_lo < 0.0 < g_hi:
+        beta = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        for _ in range(60):
+            g, slope = gap(beta)
+            lo, hi = (beta, hi) if g < 0 else (lo, beta)
+            new = beta - g / slope
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            elif abs(new - beta) <= 1e-7 * beta:
+                # the next step would be below 1e-13 relative
+                beta = new
+                break
+            beta = new
+    Y = math.log(beta)
+    return beta, np.exp(0.5 * (np.array([root(Y, 0, hump)[0], root(Y, dip, last)[0]]) - Y))
+
+
 def _trace_one(rho):
+    """The curve point at rho: the fold scan and its polished folds give
+    the window and the equal-area start, then Newton in beta on the gap of
+    the outer branch values, each outer root refined on its own piece."""
     _check_rho(rho)
     with _stage("fold window", rho):
-        b, _, phi, cells = _folds(rho)
+        b, B, phi, cells = _folds(rho)
         if cells is None:
             raise DomainError("no coexistence window at rho=%r; the amplitude is "
                               "at or above the critical value" % rho)
-        (b_hump, b_dip), (hi, lo) = _polish_folds(rho, b[cells], phi[cells])
-    beta = 0.5 * (lo + hi)
-    d = np.array([0.0, 1.0])  # each root starts at the outer end of its piece
+        b_f, B_f = _polish_folds(rho, b[cells], phi[cells])
+    (b_hump, b_dip), (hi, lo) = b_f.tolist(), B_f.tolist()
+    beta, d = _equal_area_start(b, B, phi, b_f, B_f)
+    last = 0.0  # the last Newton step, 0 where there is none
     for _ in range(60):
         with _stage("coexistence Newton", rho, beta):
             # the low piece [beta*(rho/(1+rho))^2, b_hump], the high one
             # [b_dip, beta], as d = sqrt(b/beta)
-            d, K1, phi, _, _ = _level_roots(
+            d, K1, phi, r, _, _ = _level_roots(
                 rho, beta, np.array([rho / (1.0 + rho), math.sqrt(b_dip / beta)]),
                 np.array([math.sqrt(b_hump / beta), 1.0]), d)
-        b = beta * d * d
+        b_r = beta * d * d
         d1, d2 = float(d[0]), float(d[1])
         # branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1
-        lam1, lam2 = b + math.log1p(rho) - 2.0 * (1.0 + rho) * b * d * K1
+        lam1, lam2 = b_r + math.log1p(rho) - 2.0 * (1.0 + rho) * b_r * d * K1
         gap = float(lam2 - lam1)
         lo, hi = (beta, hi) if gap < 0 else (lo, beta)
         # each branch has dlambda/dbeta = (beta*d^2 + log(1+rho) - lambda)/(2*beta)
         step = -2.0 * beta * gap / (beta * (d2 * d2 - d1 * d1) - gap)
         # only a Newton step may stop the loop: bisecting toward a window
-        # edge that the gap never crosses must not pass for convergence
-        if abs(step) <= 1e-13 * beta:
+        # edge that the gap never crosses must not pass for convergence.
+        # Newton's error squares at each step, so after two Newton steps
+        # the next would be about |step|^3/last^2; it stops once that is
+        # below a tenth of the 1e-13 target
+        new = beta + step
+        if abs(step) <= 1e-13 * beta or abs(step) ** 3 <= 1e-14 * beta * last * last:
             break
-        new = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
-        # warm start on the tangent of each root: d(log b)/d(log beta) = 1/phi,
-        # so d(log d)/d(log beta) = (1/phi - 1)/2
-        d, beta = d * (new / beta) ** (0.5 / phi - 0.5), new
+        last = abs(step)
+        if not lo < new < hi:
+            new, last = 0.5 * (lo + hi), 0.0
+        # each root moves by its Newton step to B(b) = new: with
+        # d(log b)/d(log beta) = 1/phi, d(log d)/d(log beta) = (1/phi - 1)/2,
+        # and log(1+r) has slope phi/2 in log b
+        d, beta = d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi), new
     else:
         with _stage("coexistence Newton", rho, beta):
             raise NumericsError("the branch-value gap did not converge to zero")
-    return PhaseCurvePoint(rho=rho, beta_cr=beta + step, d1=d1, d2=d2,
+    # the branch values are stationary in d, so beta_cr is good to rounding;
+    # d1 and d2 take the same Newton step to beta_cr, which removes their
+    # first-order error r/phi (large where phi is small, near rho_c)
+    d1, d2 = (d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi)).tolist()
+    return PhaseCurvePoint(rho=rho, beta_cr=new, d1=d1, d2=d2,
                            jump_drho=(d2 - d1) / rho,
                            jump_dbeta=0.5 * (d2 * d2 - d1 * d1))
 
@@ -377,13 +500,18 @@ def trace_phase_curve(rho_values):
     """First-order curve points for each amplitude (all must be < rho_c).
 
     Per amplitude, in b = beta*d^2: the three-branch window comes from the
-    zeros of the log slope of the beta level, which do not depend on beta;
-    then safeguarded Newton in beta solves for the crossing of the outer
-    branch values, each outer root found by Newton in b on its own
-    monotone piece, warm-started from the previous iterate. An amplitude
-    that is not a positive finite real raises DomainError, as does one
-    without a window, the at-or-above-critical signal;
-    a NumericsError names the stage ("fold window" or "coexistence
+    zeros of the log slope phi of the beta level, which do not depend on
+    beta; one fold scan finds them and one vectorized Newton polishes both.
+    Maxwell's equal-area rule on the scan (_equal_area_start, no kernel
+    call) gives a first beta and first outer roots, and safeguarded Newton
+    in beta then solves for the crossing of the outer branch values. Each
+    outer root is found by Newton in b on its own monotone piece, then
+    moved by its Newton step to the next beta; the reported d1 and d2 take
+    that step once more, to beta_cr. The iteration stops once a Newton step in beta is
+    below 1e-13 relative, or once quadratic convergence puts the next one
+    there. An amplitude that is not a positive finite real raises
+    DomainError, as does one without a window, the at-or-above-critical
+    signal; a NumericsError names the stage ("fold window" or "coexistence
     Newton") and the (rho, beta) at which it arose.
     """
     return [_trace_one(float(rho)) for rho in rho_values]

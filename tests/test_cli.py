@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,17 @@ def test_exit_codes(monkeypatch, capsys):
 def test_bigf_rejects_bad_amplitudes(capsys, rho):
     assert main(["bigf", "--rho", rho]) == 2
     assert capsys.readouterr().err == "error: rho must be a positive finite real\n"
+
+
+def test_bigf_refuses_amplitude_lost_to_rounding(capsys):
+    # 1 + rho rounds to 1: a staged error, not a row of inf with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bigf", "--rho", "1e-300"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: big_F scan at rho=1e-300, beta=None: "
+                            "1 + rho rounds to 1, where the fixed-rule scan loses rho\n")
 
 
 @pytest.mark.parametrize("argv,message", [

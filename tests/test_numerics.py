@@ -137,6 +137,21 @@ def test_boundary_kernels_match_mpmath(rho, b, k0, k1, dk0):
     assert K0[1] == pytest.approx(k0, rel=1e-14)
 
 
+@pytest.mark.parametrize("b,rho", [(0.7092, 0.1233), (2.28e-8, 1e-8), (20.0, 1e-8)])
+def test_second_derivative_row_matches_central_differences(b, rho):
+    # the row is b^2*d^2K0/db^2; fourth-order central differences of
+    # dK0/db, all in one call so that one panel rule serves every point
+    h = 1e-3 * b
+    K0, K1, dK0, ddK0_b2 = _boundary_kernels(b + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), rho,
+                                             bb=True)
+    fd = (8.0 * (dK0[3] - dK0[1]) - (dK0[4] - dK0[0])) / (12.0 * h)
+    assert ddK0_b2[2] / b ** 2 == pytest.approx(fd, rel=2e-10)
+    # the other rows agree with a call without it to rounding
+    for with_bb, without in zip((K0, K1, dK0), _boundary_kernels(b + h * np.array(
+            [-2.0, -1.0, 0.0, 1.0, 2.0]), rho)):
+        np.testing.assert_allclose(with_bb, without, rtol=1e-15, atol=0.0)
+
+
 def _boundary_kernels_uncached(b, rho):
     # the kernel family with its panel rule built afresh on every call
     b = np.atleast_1d(np.asarray(b, dtype=float))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import WINDOW_EDGES, kernel_calls
-from lyaprec import phase
+from lyaprec import phase, variational
 from lyaprec.errors import DomainError, EvaluationError, NumericsError, _stage
 from lyaprec.meanfield import mf_beta_level, mf_derivative_jumps, mf_lambda
 from lyaprec.phase import (
@@ -277,11 +277,34 @@ def test_traced_points_balance_branch_values(mini_curve):
         )
 
 
-@pytest.mark.parametrize("rho,most", [(0.1232, 31), (0.12328, 40)])
+@pytest.mark.parametrize("rho,most", [(0.1232, 16), (0.12328, 18)])
 def test_near_critical_trace_kernel_calls(monkeypatch, rho, most):
     # the hump and the dip share a scan cell here; the zoom between them
     # stops at its first scan with a node where phi < 0
     assert kernel_calls(monkeypatch, lambda: trace_phase_curve([rho])) <= most
+
+
+def test_traced_point_kernel_calls(monkeypatch):
+    # one fold scan, both folds polished together (the only calls that ask
+    # for the second-derivative row), and the root solves from the
+    # equal-area start
+    rows = []
+    kernels = variational._boundary_kernels
+
+    def counted(b, rho, bb=False):
+        rows.append(bb)
+        return kernels(b, rho, bb=bb)
+
+    monkeypatch.setattr(variational, "_boundary_kernels", counted)
+    trace_phase_curve([0.05])
+    assert len(rows) <= 14
+    assert sum(rows) <= 5
+
+
+def test_near_critical_curve_kernel_calls(monkeypatch, crit):
+    rhos = near_critical_rho_grid(crit)
+    assert len(rhos) == 12
+    assert kernel_calls(monkeypatch, lambda: trace_phase_curve(rhos)) <= 220
 
 
 @pytest.mark.parametrize("rho", [0.1233, 0.124])
@@ -303,7 +326,7 @@ def test_trace_rejects_one_phase_region():
 @pytest.mark.parametrize(
     "stage,name,beta",
     [("fold window", "_folds", None),
-     ("coexistence Newton", "_level_roots", 0.5 * (7.0049 + 10.1037))],
+     ("coexistence Newton", "_level_roots", 7.566814580295705)],
 )
 def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
     def fail(*args, **kwargs):
@@ -314,7 +337,7 @@ def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
         trace_phase_curve([0.05])
     exc = info.value
     assert (exc.stage, exc.rho) == (stage, 0.05)
-    # the Newton stage starts at the middle of the window (7.0049, 10.1037)
+    # the Newton stage starts at the equal-area estimate of beta_cr(0.05)
     if beta is None:
         assert exc.beta is None
     else:

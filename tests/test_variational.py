@@ -410,7 +410,7 @@ def _raise_on_call(exc):
     "stage,name,rho,beta",
     [
         ("fold search", "_boundary_kernels", 0.1, 5.5),
-        ("fold search", "_refine_bracket", 0.1, 5.5),
+        ("fold search", "_polish_folds", 0.1, 5.5),
         ("root refinement", "_level_roots", 0.3, 1.0),
         ("branch values", "_branch_values", 0.3, 1.0),
     ],
