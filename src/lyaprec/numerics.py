@@ -3,7 +3,9 @@
 Five families of tools live here: adaptive panel quadrature with an
 exact substitution for integrands that blow up like 1/sqrt(y) at the
 left endpoint, a fixed graded rule for the kernel family of the
-boundary equation, real polylogarithms of order 2 and 3, the
+boundary equation (the one rule behind big_F, big_F_scan and every
+solver, which ask it for K0 alone, for K0, K1 and dK0/db, or for those
+and b^2*d^2K0/db^2), real polylogarithms of order 2 and 3, the
 bracketed root searches (a bisection on a predicate down to a relative
 width, and a refiner for a sign change on a monotone piece, which each
 caller names itself), and the logistic family: softplus, its inverse
@@ -213,9 +215,11 @@ def _kernel_rule(doublings):
     return rule
 
 
-def _boundary_kernels(b, rho, bb=False):
-    """K0, K1 and dK0/db of the boundary-equation family at an array of b,
-    and with bb=True also b^2*d^2K0/db^2.
+def _boundary_kernels(b, rho, rows=3):
+    """The leading `rows` of K0, K1, dK0/db and b^2*d^2K0/db^2 of the
+    boundary-equation family at an array of b, as a tuple of arrays:
+    rows=1 gives K0 alone, 3 adds K1 and dK0/db, 4 the scaled second
+    derivative.
 
     K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2 - 1))).
     In v = 1 - u, with w = v*(2-v), E = e^(-b*w) and the denominator
@@ -223,20 +227,22 @@ def _boundary_kernels(b, rho, bb=False):
     d^2K0/db^2 = integral of w^2*E*(D + 2E)/D^3. Near b = rho the second
     derivative is of order 1/rho^3, past the float range for rho below
     about 1e-103; b^2 times it stays within range wherever dK0/db does
-    (rho above about 1e-154), and it is what Newton on phi needs. The
-    exponent -b*w keeps
+    (rho above about 1e-154), and it is what Newton on phi needs. K0 alone
+    stays within range for every positive rho. The exponent -b*w keeps
     its digits where D falls to rho at v = 0; there the integrand has a
     layer of height 1/rho and width about rho/(2b). A 15-point
     Gauss-Legendre rule on panels 0, w, 2w, 4w, ..., 1 resolves it, with w
     the largest power of two at most min(min(rho, 1)/(2*b_max), 1/2). One
-    rule serves the whole call, so the values are smooth in b. The 7-point
-    rule on the same panels is the embedded check of every row returned:
+    rule serves the whole call, so the values are smooth in b; a rule
+    from a larger b_max moves them by rounding only (at most 4.4e-16
+    relative in K0, for rho from 1e-12 to 0.5). The 7-point rule on the
+    same panels is the embedded check of every row returned:
     AccuracyError if the two differ by more than 1e-6 relative and by more
     than subnormal rounding, with the position of the first such b as its
-    index. A call without the scaled second derivative does the work of
-    the three rows alone. The rows share one matrix product, whose sums can round
-    differently with the row count, so K0, K1 and dK0/db from a call with
-    it may differ in the last bits from those of a call without it.
+    index. Each row is computed only where asked. The rows of all b share
+    one matrix product (BLAS gemm), whose sums can round differently with
+    its row count, so a value may differ in the last bits with the number
+    of rows asked and with the other b of the call.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     b_max = float(b.max())
@@ -250,20 +256,21 @@ def _boundary_kernels(b, rho, bb=False):
         # a difference of logs, as b_max/rho can overflow, and 2*b_max too
         doublings = max(1, math.ceil(math.log2(b_max) + 1.0 - math.log2(min(rho, 1.0))))
     layer, u2, weights = _kernel_rule(doublings)
-    # 1/D, u^2/D, w*E/D^2 (the integrand of -dK0/db) and, with bb, b^2
-    # times the integrand of the second derivative, each a row block of
-    # one buffer
+    # 1/D, u^2/D, w*E/D^2 (the integrand of -dK0/db) and b^2 times the
+    # integrand of the second derivative, each a row block of one buffer
     n = layer.size
-    rows = 4 if bb else 3
     buf = np.empty((b.size, rows, n))
-    inv, inv_u2, slope = buf[:, 0], buf[:, 1], buf[:, 2]
-    np.multiply.outer(b, -layer, out=slope)
-    np.expm1(slope, out=slope)
-    np.subtract(rho, slope, out=inv)
+    inv = buf[:, 0]
+    np.multiply.outer(b, -layer, out=inv)
+    np.expm1(inv, out=inv)
+    if rows > 2:
+        slope = buf[:, 2]
+        np.add(inv, 1.0, out=slope)
+    np.subtract(rho, inv, out=inv)
     np.reciprocal(inv, out=inv)
-    np.multiply(inv, u2, out=inv_u2)
-    slope += 1.0
-    if bb:
+    if rows > 1:
+        np.multiply(inv, u2, out=buf[:, 1])
+    if rows > 3:
         # b*w*(1 + 2E/D), at most about 5 where b is near rho, times
         # b*w*E/D^2 below
         curv = buf[:, 3]
@@ -271,14 +278,16 @@ def _boundary_kernels(b, rho, bb=False):
         curv *= 2.0
         curv += 1.0
         curv *= np.multiply.outer(b, layer)
-    slope *= layer
-    slope *= inv
-    slope *= inv
-    if bb:
+    if rows > 2:
+        slope *= layer
+        slope *= inv
+        slope *= inv
+    if rows > 3:
         curv *= slope
         curv *= b[:, None]
     vals = (buf.reshape(-1, n) @ weights).reshape(b.size, rows, 2)
-    vals[:, 2] *= -1.0
+    if rows > 2:
+        vals[:, 2] *= -1.0
     fine = vals[:, :, 0]
     err = np.abs(fine - vals[:, :, 1])
     bad = err > 1e-6 * np.abs(fine)
@@ -297,9 +306,7 @@ def _boundary_kernels(b, rho, bb=False):
             )
             exc.index = int(i[0])
             raise exc
-    if bb:
-        return fine[:, 0], fine[:, 1], fine[:, 2], fine[:, 3]
-    return fine[:, 0], fine[:, 1], fine[:, 2]
+    return tuple(fine.T)
 
 
 def _power_series(z, p):

@@ -27,12 +27,10 @@ from .numerics import (
     expit,
     inverse_softplus,
     polylog,
-    softplus_diff,
 )
 from .variational import (
     ModelParams,
     _folds,
-    _level,
     _level_roots,
     _polish_folds,
     big_F_scan,
@@ -113,7 +111,10 @@ class AsymptoticsReport:
 
 
 def _beta_level(a_values, rho):
-    """beta at which the boundary logit a is stationary: (big_F/2)^2."""
+    """beta at which the boundary logit a is stationary: (big_F/2)^2, the
+    beta level B(b) = b*(1+rho)^2*K0(b)^2 of the fold scan at b = L(a),
+    on the same kernel rule (through big_F_scan, which asks it for K0
+    alone)."""
     F = big_F_scan(np.atleast_1d(a_values), rho)
     return 0.25 * F * F
 
@@ -296,10 +297,7 @@ def locate_critical_point(
         candidates.append(float(a_c))
     candidates.sort()
 
-    if beta_level is None:
-        beta_c = float(_level(softplus_diff(a_c, math.log(rho_c)), rho_c)[0][0])
-    else:
-        beta_c = float(np.atleast_1d(blevel(np.array([a_c]), rho_c))[0])
+    beta_c = float(np.atleast_1d(blevel(np.array([a_c]), rho_c))[0])
     d_c = (d_map(a_c, rho_c, beta_c) if d_map is not None
            else d_of_h1(a_c, ModelParams(rho_c, beta_c)))
     return CriticalPoint(
@@ -440,6 +438,14 @@ def _equal_area_start(b, B, phi, b_f, B_f):
     return beta, np.exp(0.5 * (np.array([root(Y, 0, hump)[0], root(Y, dip, last)[0]]) - Y))
 
 
+def _moved_roots(d, beta, phi, r, new):
+    """Each root d at beta, with residual r and log slope phi there, moved
+    by its Newton step to B(b) = new: with d(log b)/d(log beta) = 1/phi,
+    d(log d)/d(log beta) = (1/phi - 1)/2, and log(1+r) has slope phi/2 in
+    log b."""
+    return d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi)
+
+
 def _trace_one(rho):
     """The curve point at rho: the fold scan and its polished folds give
     the window and the equal-area start, then Newton in beta on the gap of
@@ -480,17 +486,14 @@ def _trace_one(rho):
         last = abs(step)
         if not lo < new < hi:
             new, last = 0.5 * (lo + hi), 0.0
-        # each root moves by its Newton step to B(b) = new: with
-        # d(log b)/d(log beta) = 1/phi, d(log d)/d(log beta) = (1/phi - 1)/2,
-        # and log(1+r) has slope phi/2 in log b
-        d, beta = d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi), new
+        d, beta = _moved_roots(d, beta, phi, r, new), new
     else:
         with _stage("coexistence Newton", rho, beta):
             raise NumericsError("the branch-value gap did not converge to zero")
     # the branch values are stationary in d, so beta_cr is good to rounding;
     # d1 and d2 take the same Newton step to beta_cr, which removes their
     # first-order error r/phi (large where phi is small, near rho_c)
-    d1, d2 = (d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi)).tolist()
+    d1, d2 = _moved_roots(d, beta, phi, r, new).tolist()
     return PhaseCurvePoint(rho=rho, beta_cr=new, d1=d1, d2=d2,
                            jump_drho=(d2 - d1) / rho,
                            jump_dbeta=0.5 * (d2 * d2 - d1 * d1))

@@ -163,10 +163,13 @@ class CLTReport:
     noise_kind: str
 
 
-def _chunk_rows(n):
-    """Paths per chunk, a pure function of n so that chunk boundaries
-    (and hence the random streams) never depend on thread count."""
-    return max(64, min(16384, 4_194_304 // max(n, 1)))
+def _chunk_sizes(spec):
+    """Paths per chunk, in chunk order: full chunks of a size that is a
+    pure function of n, so that chunk boundaries (and hence the random
+    streams) never depend on thread count, then the remainder."""
+    rows = max(64, min(16384, 4_194_304 // max(spec.n, 1)))
+    full, rest = divmod(spec.paths, rows)
+    return [rows] * full + ([rest] if rest else [])
 
 
 def _chunk_rng(seed, chunk_index):
@@ -243,14 +246,8 @@ def simulate_paths(spec, with_components=False):
     (log_x, sum_log_a, sum_b), which is what the per-path bracketing
     x0 * prod(a) <= x_n <= (x0 + sum b) * prod(a) needs.
     """
-    rows_per = _chunk_rows(spec.n)
-    produced = 0
-    chunk_index = 0
-    while produced < spec.paths:
-        rows = min(rows_per, spec.paths - produced)
+    for chunk_index, rows in enumerate(_chunk_sizes(spec)):
         yield _simulate_chunk(spec, chunk_index, rows, with_components)
-        produced += rows
-        chunk_index += 1
 
 
 def _moment_chunk(spec, chunk_index, rows):
@@ -275,13 +272,7 @@ def estimate_moment(spec, threads=1):
     """
     if spec.paths < 2:
         raise DomainError("need at least 2 paths for a variance estimate")
-    rows_per = _chunk_rows(spec.n)
-    sizes = []
-    remaining = spec.paths
-    while remaining > 0:
-        rows = min(rows_per, remaining)
-        sizes.append(rows)
-        remaining -= rows
+    sizes = _chunk_sizes(spec)
 
     def work(i):
         return _moment_chunk(spec, i, sizes[i])

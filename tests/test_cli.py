@@ -174,15 +174,20 @@ def test_bigf_rejects_bad_amplitudes(capsys, rho):
     assert capsys.readouterr().err == "error: rho must be a positive finite real\n"
 
 
-def test_bigf_refuses_amplitude_lost_to_rounding(capsys):
-    # 1 + rho rounds to 1: a staged error, not a row of inf with a warning
+def test_bigf_answers_at_tiny_amplitude(capsys):
+    # 1 + rho rounds to 1, but the kernel keeps rho: finite values, no
+    # warning, and each row is big_F at its printed a
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["bigf", "--rho", "1e-300"]) == 4
+        assert main(["bigf", "--rho", "1e-300", "--points", "5"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: big_F scan at rho=1e-300, beta=None: "
-                            "1 + rho rounds to 1, where the fixed-rule scan loses rho\n")
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "rho,a,F" and len(lines) == 6
+    for line in lines[1:]:
+        rho, a, F = (float(x) for x in line.split(","))
+        assert rho == 1e-300
+        assert F == pytest.approx(variational.big_F(a, rho), rel=4e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("argv,message", [

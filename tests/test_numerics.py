@@ -143,13 +143,29 @@ def test_second_derivative_row_matches_central_differences(b, rho):
     # dK0/db, all in one call so that one panel rule serves every point
     h = 1e-3 * b
     K0, K1, dK0, ddK0_b2 = _boundary_kernels(b + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), rho,
-                                             bb=True)
+                                             rows=4)
     fd = (8.0 * (dK0[3] - dK0[1]) - (dK0[4] - dK0[0])) / (12.0 * h)
     assert ddK0_b2[2] / b ** 2 == pytest.approx(fd, rel=2e-10)
     # the other rows agree with a call without it to rounding
-    for with_bb, without in zip((K0, K1, dK0), _boundary_kernels(b + h * np.array(
+    for with_row, without in zip((K0, K1, dK0), _boundary_kernels(b + h * np.array(
             [-2.0, -1.0, 0.0, 1.0, 2.0]), rho)):
-        np.testing.assert_allclose(with_bb, without, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(with_row, without, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-8, 0.1232, 2.0])
+def test_boundary_kernels_leading_rows(rho):
+    # rows=1 is K0 alone, which stays in range where dK0/db overflows
+    # (rho below about 1e-154); elsewhere each count of rows agrees with
+    # the others to rounding
+    b = np.array([0.0, rho, 0.5, 3.0, 40.0])
+    (K0,) = _boundary_kernels(b, rho, rows=1)
+    assert np.all(np.isfinite(K0)) and K0[0] == pytest.approx(1.0 / rho, rel=1e-15)
+    if rho < 1e-154:
+        return
+    for rows in (3, 4):
+        got = _boundary_kernels(b, rho, rows=rows)
+        assert len(got) == rows
+        np.testing.assert_allclose(got[0], K0, rtol=1e-15, atol=0.0)
 
 
 def _boundary_kernels_uncached(b, rho):

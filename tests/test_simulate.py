@@ -18,7 +18,7 @@ from lyaprec.simulate import (
     lln_check,
     simulate_paths,
 )
-from lyaprec.simulate import _chunk_rng, _chunk_rows, _normal_cdf
+from lyaprec.simulate import _chunk_rng, _chunk_sizes, _normal_cdf
 
 
 def test_spec_validation():
@@ -285,10 +285,7 @@ def _reference_paths(spec):
     log x_{i+1} = logaddexp(log a_i + log x_i, log b_i) on the chunk streams
     of simulate_paths, as (log_x, sum_log_a, sum_b) per chunk."""
     n, kind, value = spec.n, spec.noise.kind, spec.noise.value
-    rows_per = _chunk_rows(n)
-    produced = chunk_index = 0
-    while produced < spec.paths:
-        rows = min(rows_per, spec.paths - produced)
+    for chunk_index, rows in enumerate(_chunk_sizes(spec)):
         rng = _chunk_rng(spec.seed, chunk_index)
         with np.errstate(divide="ignore"):
             log_rho = np.log(spec.rho)
@@ -310,8 +307,6 @@ def _reference_paths(spec):
         for i in range(n):
             log_x = np.logaddexp(log_a[:, i] + log_x, log_b[:, i])
         yield log_x, log_a.sum(axis=1), b.sum(axis=1)
-        produced += rows
-        chunk_index += 1
 
 
 _KINDS = [("none", 0.0), ("constant", 0.0), ("constant", 0.7),

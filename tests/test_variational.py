@@ -116,32 +116,63 @@ def test_big_f_edges():
 
 
 def test_big_f_scan_matches_adaptive():
+    # big_F is the one-point scan: a point's block mates and panel rule
+    # move its value by rounding only (at most 5 ulp seen over rho from
+    # 1e-300 to 3)
     rho = 0.123
     avals = np.linspace(math.log(rho) + 1e-3, 6.0, 25)
     scan = big_F_scan(avals, rho)
     ada = np.array([big_F(float(a), rho) for a in avals])
-    assert float(np.max(np.abs(scan - ada))) < 5e-7
-
-
-def _big_f_scan_one_shot(a, rho):
-    # the scan formula in one pass over the whole array
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    L = np.maximum(softplus(a) - math.log1p(rho), 0.0)
-    expo = L[:, None] * (variational._SCAN_U[None, :] ** 2 - 1.0)
-    den = 1.0 - np.exp(expo) / (1.0 + rho)
-    return 2.0 * np.sqrt(L) * (variational._SCAN_W / den).sum(axis=1)
+    np.testing.assert_allclose(scan, ada, rtol=4e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("rho", [1e-6, 0.05, 0.1232, 0.5])
 @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 1000, 8192])
 def test_big_f_scan_blocks_are_bit_identical(n, rho):
+    # the scan goes to the kernel 128 points at a time: each block's
+    # values are those of a scan of that block alone, bit for bit
     rng = np.random.default_rng(n)
     a = math.log(rho) + rng.uniform(0.0, 12.0, n)
     if n:
         a[0] = math.log(rho)
     got = big_F_scan(a, rho)
     assert got.shape == (n,)
-    assert np.array_equal(got, _big_f_scan_one_shot(a, rho))
+    blocks = [big_F_scan(a[i:i + 128], rho) for i in range(0, n, 128)]
+    assert np.array_equal(got, np.concatenate(blocks) if blocks else got[:0])
+
+
+def _big_f_mpmath(a, rho, dps=30):
+    # 2*sqrt(L)*(1+rho)*K0(L) with L = log((1+e^a)/(1+rho)) at the float a,
+    # K0 in v = c*(e^t - 1), c = rho/(2L): the integrand over t is about
+    # 1/(2L) through the layer of width c at v = 0, and is scaled by 2L so
+    # that mpmath's absolute error estimate is a relative one
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps + 5):
+        a, rho = mp.mpf(a), mp.mpf(rho)
+        L = mp.log1p(mp.exp(a)) - mp.log1p(rho)
+        c = rho / (2 * L)
+        T = mp.log1p(1 / c)
+
+        def f(t):
+            v = c * mp.expm1(t)
+            return 2 * L * c * mp.exp(t) / (rho - mp.expm1(-L * v * (2 - v)))
+
+        ends = sorted({mp.mpf(0), T} | {T - s for s in (64, 32, 16, 8, 4, 2, 1) if s < T})
+        K0 = mp.quad(f, ends, method="gauss-legendre") / (2 * L)
+        return float(2 * mp.sqrt(L) * (1 + rho) * K0)
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-12, 1e-8, 0.1])
+def test_big_f_scan_matches_mpmath(rho):
+    # a - log(rho) in {1, 4, 8}, where L is about rho*e^(a - log rho), and
+    # a in {0, 3}, where the layer at v = 0 is about rho/(2L) wide; the
+    # graded 15-panel rule this scan replaced was off by 1e-5 to 6e-5 at
+    # the first three and by about 0.4 at the last two at rho = 1e-12
+    lr = math.log(rho)
+    a = np.array([lr + 1.0, lr + 4.0, lr + 8.0, 0.0, 3.0])
+    want = np.array([_big_f_mpmath(x, rho) for x in a])
+    np.testing.assert_allclose(big_F_scan(a, rho), want, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose([big_F(x, rho) for x in a.tolist()], want, rtol=1e-13, atol=0.0)
 
 
 def test_correction_integral_at_zero():
@@ -169,8 +200,8 @@ def test_solve_h1_counts_and_residuals(mini_curve):
 
 
 def _three_branch_window(rho):
-    # independent of the solver's own scan: a dense fixed-rule scan for the
-    # hump and the dip, each polished by bounded Brent on the adaptive big_F
+    # independent of the solver's fold scan in b: a dense scan in a for the
+    # hump and the dip, each polished by bounded Brent on big_F
     a = np.linspace(math.log(rho), math.log(rho) + 12.0, 8192)
     desc = np.flatnonzero(np.diff(big_F_scan(a, rho)) < 0)
     i, j = desc[0], desc[-1] + 1
