@@ -8,8 +8,11 @@ log(rho) = -(2/3)*beta*a + log(a/(1-a)). The structure is the standard
 double-well one: a single stationary point for beta <= 6, up to three
 beyond, a first-order switch across the curve beta = -3*log(rho), and a
 gap equation delta = tanh(beta*delta/6) for the coexisting branches.
-Stationarity is solved on its monotone pieces, which end at the
-closed-form folds logit(a) = +-2*atanh(sqrt(1 - 6/beta)), beta > 6.
+Stationarity is solved on its two outer rising pieces: concave below
+the inflection logit(a) = 0 and convex above it, they end at the
+closed-form folds logit(a) = +-2*atanh(sqrt(1 - 6/beta)) for beta > 6,
+and at the inflection otherwise. Newton from the outer end of each
+piece moves monotonically to its root.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_q1, _check_rho
-from .numerics import _bisect, _refine_bracket, expit, softplus
+from .numerics import _bisect, expit, softplus
 
 __all__ = [
     "MeanFieldResult",
@@ -66,9 +69,13 @@ def mf_lambda(params):
     Finds the outer stationary occupations, the maxima of the flat
     functional, then selects per the sign of log(rho) + beta/3: above
     the curve the high branch wins, below it the low one; exactly on it
-    the branches tie and the high one is reported. The middle stationary
-    point, a minimum, is never refined. beta = 0 gives exactly
-    a = rho/(1+rho), log(1+rho).
+    the branches tie and the high one is reported. Each is the root of
+    stationarity on a rising piece, concave below the inflection and
+    convex above it, found by Newton with the analytic slope from the
+    piece's outer end, where the tangent stays on the near side of the
+    root; a fold end where stationarity holds to 1e-12 is the root. The
+    middle stationary point, a minimum, is never refined. beta = 0
+    gives exactly a = rho/(1+rho), log(1+rho).
     """
     _check_q1(params)
     rho, beta = params.rho, params.beta
@@ -77,33 +84,55 @@ def mf_lambda(params):
         return MeanFieldResult(rho / (1.0 + rho), None, None, math.log1p(rho))
 
     # stationarity in t = logit(a) - log(rho), whose roots lie in
-    # [0, 2*beta/3]; unlike logit(a), t keeps its sign for tiny beta
-    def g(t):
-        return t - (2.0 / 3.0) * beta * float(expit(t + lr))
-
+    # [0, 2*beta/3]; unlike logit(a), t keeps its sign for tiny beta.
     # beta/1.5 rounds the same quotient as 2*beta/3, where 2*beta overflows
     # for beta from about 9e307
-    cuts = [0.0, beta / 1.5]
+    c = beta / 1.5
+
+    def g(t):
+        # g, its slope and the occupation, from one logistic value
+        a = float(expit(t + lr))
+        return t - c * a, 1.0 - c * a * (1.0 - a), a
+
+    # g is concave below its inflection t = -log(rho) and convex above;
+    # for beta > 6 its outer rising pieces end at the folds around it
+    cuts = [min(max(-lr, 0.0), c)] * 2
     if beta > 6.0:
         # 2*atanh(s) with s = sqrt(1 - 6/beta), as 1 - s = (6/beta)/(1 + s),
         # finite where 6/beta rounds away
         s = math.sqrt(1.0 - 6.0 / beta)
         x_fold = 2.0 * math.log1p(s) + math.log(beta / 6.0)
-        cuts[1:1] = [min(max(x - lr, 0.0), cuts[-1]) for x in (-x_fold, x_fold)]
-    g_cuts = [g(t) for t in cuts]
-    roots = []
-    # the outer monotone pieces: the first and the last
-    for lo, hi, g_lo, g_hi in zip(cuts[::2], cuts[1::2], g_cuts[::2], g_cuts[1::2]):
-        if lo < hi and min(g_lo, g_hi) <= 0.0 <= max(g_lo, g_hi):
-            roots.append(_refine_bracket(g, lo, hi, g_lo, g_hi, 1e-12) + lr)
+        cuts = [min(max(x - lr, 0.0), c) for x in (-x_fold, x_fold)]
+    ends = {t: g(t) for t in (0.0, *cuts, c)}
+    roots = {}
+    # Newton from the outer end of each piece, where g <= 0 on the concave
+    # low piece and g >= 0 on the convex high one, moves monotonically to
+    # the root; it stops once a step no longer advances. A root on the
+    # cut shared for beta <= 6 counts once.
+    for outer, inner, ahead in ((0.0, cuts[0], 1.0), (c, cuts[1], -1.0)):
+        g_out, slope, a = ends[outer]
+        g_in = ends[inner][0]
+        if outer == inner or not min(g_out, g_in) <= 0.0 <= max(g_out, g_in):
+            continue
+        t = outer
+        # near a fold the root is nearly double and Newton crawls onto it
+        if abs(g_in) <= 1e-12:
+            t, a = inner, ends[inner][2]
+        else:
+            while slope > 0.0:
+                t_next = t - g_out / slope
+                if not (t_next - t) * ahead > 0.0:
+                    break
+                t = t_next
+                g_out, slope, a = g(t)
+        roots[t] = a
     a1 = a2 = None
     if len(roots) == 1:
-        x_star = roots[0]
+        ((t_star, a_star),) = roots.items()
     else:
-        x1, x2 = roots
-        a1, a2 = float(expit(x1)), float(expit(x2))
-        x_star = x2 if lr >= -beta / 3.0 else x1
-    a_star = float(expit(x_star))
+        (t1, a1), (t2, a2) = roots.items()
+        t_star, a_star = (t2, a2) if lr >= -beta / 3.0 else (t1, a1)
+    x_star = t_star + lr
     lambda_bar = -(beta / 3.0) * a_star * a_star + float(softplus(x_star))
     return MeanFieldResult(a_star, a1, a2, lambda_bar)
 

@@ -5,11 +5,9 @@ exact substitution for integrands that blow up like 1/sqrt(y) at the
 left endpoint, a fixed graded rule for the kernel family of the
 boundary equation (the one rule behind big_F, big_F_scan and every
 solver, which ask it for K0 alone, for K0, K1 and dK0/db, or for those
-and b^2*d^2K0/db^2), real polylogarithms of order 2 and 3, the
-bracketed root searches (a bisection on a predicate down to a relative
-width, and a refiner for a sign change on a monotone piece, which each
-caller names itself), and the logistic family: softplus, its inverse
-and differences, expit, and a log-sum-exp.
+and b^2*d^2K0/db^2), real polylogarithms of order 2 and 3, a
+bisection on a predicate down to a relative width, and the logistic
+family: softplus, its inverse and differences, expit, and a log-sum-exp.
 The package needs no SciPy for any of them. The Gauss-Legendre tables
 are SciPy's special.roots_legendre(7) and (15) written out as float
 literals, each the same bit for bit (numpy's leggauss differs at 2 of
@@ -366,61 +364,6 @@ def _bisect(below, lo, hi, rel):
         else:
             hi = mid
     return lo, hi
-
-
-def _refine_bracket(f, a, b, fa, fb, tol, max_iter=120):
-    """Shrink a sign-change bracket until |f| <= tol at the returned point,
-    or until it is 4 ulp wide, where its better end is returned: for a
-    continuous f the root then lies in it to rounding.
-
-    Secant steps while they stay inside the bracket, with a bisection
-    fallback, and a forced bisection whenever four consecutive steps
-    fail to halve the bracket. Convergence is therefore guaranteed even
-    where f is nearly flat.
-    """
-    if abs(fa) <= tol:
-        return a
-    if abs(fb) <= tol:
-        return b
-    x0, f0, x1, f1 = a, fa, b, fb
-    xp, fp = x0, f0
-    xc, fc = x1, f1
-    checkpoint_width = x1 - x0
-    since_check = 0
-    for _ in range(max_iter):
-        force_bisect = False
-        since_check += 1
-        if since_check >= 4:
-            if (x1 - x0) > 0.5 * checkpoint_width:
-                force_bisect = True
-            checkpoint_width = x1 - x0
-            since_check = 0
-        mid = 0.5 * (x0 + x1)
-        if math.isinf(mid):  # x0 + x1 overflowed
-            mid = 0.5 * x0 + 0.5 * x1
-        if not force_bisect and fc != fp:
-            cand = xc - fc * (xc - xp) / (fc - fp)
-        else:
-            cand = mid
-        if not (x0 < cand < x1):
-            cand = mid
-        fcand = float(f(cand))
-        if not math.isfinite(fcand):
-            raise EvaluationError(
-                "non-finite value during root refinement at x=%r" % float(cand),
-                abscissa=cand,
-            )
-        if abs(fcand) <= tol:
-            return cand
-        if (f0 < 0) == (fcand < 0):
-            x0, f0 = cand, fcand
-        else:
-            x1, f1 = cand, fcand
-        xp, fp = xc, fc
-        xc, fc = cand, fcand
-        if (x1 - x0) <= 4 * np.finfo(float).eps * max(abs(x0), abs(x1)):
-            return x0 if abs(f0) <= abs(f1) else x1
-    raise NumericsError("root refinement did not reach |f| <= tol")
 
 
 def expit(x):

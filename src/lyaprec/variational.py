@@ -495,7 +495,7 @@ def solve_h1(params):
                    d=d.tolist())
 
 
-def lambda_of_h1(h1, params, spec=None):
+def lambda_of_h1(h1, params):
     """Branch value as a function of the boundary logit:
     log(1+e^{h1}) - beta^{-1/2} * integral over x in [log rho, h1] of
     sqrt(log((1+e^{h1})/(1+e^x))).
@@ -521,13 +521,12 @@ def lambda_of_h1(h1, params, spec=None):
     def g(w):
         return np.sqrt(softplus_diff(h1, h1 - w))
 
-    spec = spec or ACCURATE_QUADRATURE
     cut = h1 - 40.0
     if cut > 0.0:
-        integral = (integrate_inverse_sqrt_singularity(g, cut, spec)
-                    + integrate_adaptive(g, cut, W, spec))
+        integral = (integrate_inverse_sqrt_singularity(g, cut, ACCURATE_QUADRATURE)
+                    + integrate_adaptive(g, cut, W, ACCURATE_QUADRATURE))
     else:
-        integral = integrate_inverse_sqrt_singularity(g, W, spec)
+        integral = integrate_inverse_sqrt_singularity(g, W, ACCURATE_QUADRATURE)
     return top - integral / math.sqrt(params.beta)
 
 

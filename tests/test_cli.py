@@ -155,8 +155,8 @@ def test_exit_codes(monkeypatch, capsys):
     # past beta = 1e170 the mean-field root is refined to rounding in beta
     assert main(["lyapunov", "--rho", "0.1", "--beta", "1e200"]) == 0
     assert main(["meanfield", "--rho", "0.1", "--beta", "1e200"]) == 0
-    # at tiny rho the middle root's bracket reaches 4 ulp with |g| above
-    # 1e-12; mf_lambda refines only the outer roots
+    # at tiny rho the stationarity residual rounds far above 1e-12;
+    # mf_lambda never refines the middle root
     assert main(["meanfield", "--rho", "7.130172008771756e-120",
                  "--beta", "759.080933562806"]) == 0
     # 2*beta and beta*(1+rho) overflow here; no product holds them

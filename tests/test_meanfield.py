@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import lyaprec.meanfield
 from lyaprec.errors import DomainError, NumericsError
 from lyaprec.meanfield import (
     MF_CURVE_RHO_MAX,
@@ -30,7 +31,7 @@ def test_stationarity_residual(rho, beta):
         if a is None:
             continue
         g = math.log(a / (1.0 - a)) - (2.0 / 3.0) * beta * a - math.log(rho)
-        assert abs(g) < 1e-9
+        assert abs(g) < 1e-14
 
 
 def test_multiple_roots_inside_window():
@@ -53,7 +54,7 @@ def test_huge_beta_is_finite(beta):
 @pytest.mark.parametrize("rho", [1e-8, 1e-3, 0.1, 0.5, 2.0])
 def test_huge_beta_refines_to_rounding(rho, beta):
     # the stationarity residual rounds at about eps*beta here, far above
-    # 1e-12, so the refinement ends on a 4-ulp bracket
+    # 1e-12, so Newton ends where its steps stop advancing
     params = ModelParams(rho, beta)
     lam = mf_lambda(params).lambda_bar
     assert math.isfinite(lam)
@@ -185,3 +186,110 @@ def test_tiny_rho_sweep_returns_the_larger_outer_root():
         for a in (res.branch_a1, res.branch_a2):
             if a is not None:
                 assert value >= _flat_functional(a, rho, beta), (rho, beta)
+
+
+def _mp_stationarity(mp, rho, beta):
+    # stationarity in x = logit(a) at the exact float inputs, its
+    # coefficient 2*beta/3, and its closed-form folds (None for beta <= 6)
+    lr, c = mp.log(mp.mpf(rho)), mp.mpf(beta) * 2 / 3
+
+    def g(x):
+        return x - lr - c / (1 + mp.exp(-x))
+
+    folds = None
+    if beta > 6.0:
+        x_fold = 2 * mp.atanh(mp.sqrt(1 - 6 / mp.mpf(beta)))
+        folds = (max(-x_fold, lr), min(x_fold, lr + c))
+    return g, lr, c, folds
+
+
+def _mp_newton(mp, g, c, x):
+    for _ in range(200):
+        a = 1 / (1 + mp.exp(-x))
+        step = g(x) / (1 - c * a * (1 - a))
+        x -= step
+        if abs(step) < mp.mpf(10) ** -35:
+            return x
+    raise AssertionError("mpmath Newton did not settle")
+
+
+def test_roots_match_mpmath():
+    # every returned occupation below 1 against the 40-digit root next to it,
+    # and lambda_bar against the 40-digit value, to 16 eps of the two terms
+    # that cancel in it
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    rhos = np.exp(rng.uniform(math.log(1e-12), math.log(3.0), 400))
+    betas = np.exp(rng.uniform(math.log(1e-2), math.log(200.0), 400))
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for rho, beta in zip(rhos.tolist(), betas.tolist()):
+            res = mf_lambda(ModelParams(rho, beta))
+            g, _, c, _ = _mp_stationarity(mp, rho, beta)
+            for a in (res.a_star, res.branch_a1, res.branch_a2):
+                if a is None or a == 1.0:
+                    continue
+                x = _mp_newton(mp, g, c, mp.log(mp.mpf(a) / (1 - mp.mpf(a))))
+                a_mp = 1 / (1 + mp.exp(-x))
+                assert abs(a - a_mp) <= 1e-14 * a_mp, (rho, beta, a)
+                if a == res.a_star:
+                    quad, soft = mp.mpf(beta) * a_mp ** 2 / 3, mp.log1p(mp.exp(x))
+                    assert abs(res.lambda_bar - (soft - quad)) <= 16 * eps * (quad + soft), (
+                        rho, beta)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_near_critical_point(k):
+    # at the flat-profile critical point (e^-2, 6) the three roots merge, so
+    # the selected one is cube-root conditioned in the inputs; the branch
+    # count is mpmath's on the pieces cut at the closed-form folds
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for s_rho in (-1, 0, 1):
+            for s_beta in (-1, 0, 1):
+                rho = math.exp(-2.0) * (1.0 + s_rho * 10.0 ** -k)
+                beta = 6.0 * (1.0 + s_beta * 10.0 ** -k)
+                res = mf_lambda(ModelParams(rho, beta))
+                g, lr, c, folds = _mp_stationarity(mp, rho, beta)
+                pieces = [(lr, lr + c)]
+                if folds is not None:
+                    pieces = [p for p in ((lr, folds[0]), (folds[1], lr + c))
+                              if g(p[0]) <= 0 <= g(p[1])]
+                assert (2 if res.branch_a1 is not None else 1) == len(pieces), (rho, beta)
+                lo, hi = pieces[-1] if lr >= -mp.mpf(beta) / 3 else pieces[0]
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+                a_mp = 1 / (1 + mp.exp(-lo))
+                assert abs(res.a_star - a_mp) <= 1e-4, (rho, beta)
+
+
+def test_stationarity_evaluation_count(monkeypatch):
+    # each logistic value is one evaluation of stationarity and its slope;
+    # draws as in the seed 7, 11 and 5 sweeps and a grid-like set
+    calls = []
+    plain = lyaprec.meanfield.expit
+
+    def counted(x):
+        calls.append(x)
+        return plain(x)
+
+    monkeypatch.setattr(lyaprec.meanfield, "expit", counted)
+    sweeps = [(7, (1e-300, 30.0), (1e-3, 1e4)), (11, (1e-300, 1e-40), (1e-3, 1e4)),
+              (5, (1e-10, 10.0), (1e-3, 1e306))]
+    draws = []
+    for seed, rho_range, beta_range in sweeps:
+        rng = np.random.default_rng(seed)
+        rhos = np.exp(rng.uniform(*np.log(rho_range), 20000))
+        betas = np.exp(rng.uniform(*np.log(beta_range), 20000))
+        draws += zip(rhos.tolist(), betas.tolist())
+    # grid-like: the bench grid's rho range, beta up to 4 times its range
+    rng = np.random.default_rng(1)
+    rhos = np.exp(rng.uniform(math.log(1e-3), math.log(0.5), 20000))
+    draws += zip(rhos.tolist(), rng.uniform(0.0, 80.0, 20000).tolist())
+    worst = 0
+    for rho, beta in draws:
+        calls.clear()
+        mf_lambda(ModelParams(rho, beta))
+        worst = max(worst, len(calls))
+    assert worst <= 24

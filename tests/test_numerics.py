@@ -16,7 +16,6 @@ from lyaprec.numerics import (
     _boundary_kernels,
     _kernel_rule,
     _logsumexp,
-    _refine_bracket,
     expit,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
@@ -69,24 +68,6 @@ def test_adaptive_panel_budget():
 def test_adaptive_bad_abscissa():
     with pytest.raises(EvaluationError):
         integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
-
-
-def test_refine_bracket_prints_plain_abscissa():
-    with pytest.raises(EvaluationError) as info:
-        _refine_bracket(lambda x: math.nan, np.float64(0.0), np.float64(1.0), -1.0, 1.0, 1e-12)
-    assert str(info.value) == "non-finite value during root refinement at x=0.5"
-
-
-def test_refine_bracket_stops_at_four_ulp():
-    # a steep line whose root falls between two floats: |f| at every float
-    # is far above tol, so the search ends on a 4-ulp bracket and returns
-    # its better end instead of raising
-    root = 1.0 / 3.0 + 1e-17
-    f = lambda x: 1e20 * (x - 1.0 / 3.0) - 1e3
-    x = _refine_bracket(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
-    assert abs(x - root) <= 4 * math.ulp(root)
-    assert abs(f(x)) <= abs(f(math.nextafter(x, math.inf)))
-    assert abs(f(x)) <= abs(f(math.nextafter(x, -math.inf)))
 
 
 def test_sqrt_singularity_power_laws():
