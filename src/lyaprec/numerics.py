@@ -8,10 +8,10 @@ solver, which ask it for K0 alone, for K0, K1 and dK0/db, or for those
 and b^2*d^2K0/db^2), real polylogarithms of order 2 and 3, a
 bisection on a predicate down to a relative width, and the logistic
 family: softplus, its inverse and differences, expit, and a log-sum-exp.
-The package needs no SciPy for any of them. The Gauss-Legendre tables
-are SciPy's special.roots_legendre(7) and (15) written out as float
-literals, each the same bit for bit (numpy's leggauss differs at 2 of
-7 and 4 of 15 nodes, and at every weight). expit has two contracts: a
+The package needs no SciPy for any of them. Every quadrature runs on
+one 15-point Gauss-Kronrod table, whose 7 Gauss nodes and weights are
+SciPy's special.roots_legendre(7) bit for bit (numpy's leggauss differs
+at 2 of the 7 nodes, and at every weight). expit has two contracts: a
 scalar goes through math.exp, the libm call SciPy's expit makes, and
 matches it bit for bit; an array goes through np.exp, whose vector loop
 can be 1 ulp off libm, which leaves each entry within 3 eps relative of
@@ -48,24 +48,28 @@ __all__ = [
 ]
 
 # Gauss-Legendre nodes and weights on [-1, 1]: SciPy's
-# special.roots_legendre(7) and (15), each literal's repr the same as
-# SciPy's value
+# special.roots_legendre(7), each literal's repr the same as SciPy's value
 _NODES7 = np.array([
     -0.9491079123427584, -0.7415311855993945, -0.4058451513773972, 0.0,
     0.4058451513773972, 0.7415311855993945, 0.9491079123427584])
 _WEIGHTS7 = np.array([
     0.12948496616886992, 0.2797053914892766, 0.38183005050511876, 0.4179591836734691,
     0.38183005050511876, 0.2797053914892766, 0.12948496616886992])
-_NODES15 = np.array([
-    -0.9879925180204854, -0.937273392400706, -0.8482065834104272, -0.7244177313601701,
-    -0.5709721726085388, -0.3941513470775634, -0.20119409399743454, 0.0,
-    0.20119409399743454, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
-    0.8482065834104272, 0.937273392400706, 0.9879925180204854])
-_WEIGHTS15 = np.array([
-    0.030753241996118154, 0.07036604748810715, 0.10715922046717176, 0.13957067792615432,
-    0.16626920581699411, 0.18616100001556224, 0.19843148532711163, 0.20257824192556137,
-    0.19843148532711163, 0.18616100001556224, 0.16626920581699411, 0.13957067792615432,
-    0.10715922046717176, 0.07036604748810715, 0.030753241996118154])
+# The 15-point Gauss-Kronrod rule (QUADPACK's qk15): its odd nodes are
+# _NODES7 bit for bit, every other entry is the double nearest its 33-digit
+# value, and _G7_WEIGHTS, _WEIGHTS7 at the odd nodes, is its embedded check
+_K15_NODES = np.array([
+    -0.9914553711208126, -0.9491079123427584, -0.8648644233597691, -0.7415311855993945,
+    -0.5860872354676911, -0.4058451513773972, -0.20778495500789848, 0.0,
+    0.20778495500789848, 0.4058451513773972, 0.5860872354676911, 0.7415311855993945,
+    0.8648644233597691, 0.9491079123427584, 0.9914553711208126])
+_K15_WEIGHTS = np.array([
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
+    0.20443294007529889, 0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
+    0.10479001032225019, 0.06309209262997856, 0.022935322010529224])
+_G7_WEIGHTS = np.zeros(15)
+_G7_WEIGHTS[1::2] = _WEIGHTS7
 
 _ZETA3 = 1.2020569031595942854
 _PI2_6 = math.pi ** 2 / 6.0
@@ -94,8 +98,9 @@ ACCURATE_QUADRATURE = QuadratureSpec(1e-12, 1e-14, 60)
 def integrate_adaptive(f, lo, hi, spec=None):
     """Integrate a smooth vectorized integrand over [lo, hi].
 
-    Each panel is estimated with 7- and 15-point Gauss-Legendre rules;
-    the discrepancy serves as the local error. Panels whose error
+    Each panel is estimated with the 15-point Gauss-Kronrod rule, and its
+    difference from the 7-point Gauss rule on the same nodes is the local
+    error, so f is called once per round. Panels whose error
     exceeds their width-proportional share of the global tolerance are
     halved, up to spec.max_subdivisions rounds of splitting. Nodes are
     strictly interior, so endpoint values of f are never requested.
@@ -113,19 +118,14 @@ def integrate_adaptive(f, lo, hi, spec=None):
     for _ in range(spec.max_subdivisions):
         mid = 0.5 * (los + his)
         half = 0.5 * (his - los)
-        x7 = mid[:, None] + half[:, None] * _NODES7
-        x15 = mid[:, None] + half[:, None] * _NODES15
-        y7 = np.asarray(f(x7), dtype=float)
-        y15 = np.asarray(f(x15), dtype=float)
-        if not np.isfinite(y15).all():
-            bad = np.argwhere(~np.isfinite(y15))[0]
-            raise EvaluationError(
-                "integrand returned a non-finite value at x=%r"
-                % float(x15[tuple(bad)]),
-                abscissa=float(x15[tuple(bad)]),
-            )
-        i7 = half * (y7 * _WEIGHTS7).sum(axis=1)
-        i15 = half * (y15 * _WEIGHTS15).sum(axis=1)
+        x = mid[:, None] + half[:, None] * _K15_NODES
+        y = np.asarray(f(x), dtype=float)
+        if not np.isfinite(y).all():
+            at = float(x[tuple(np.argwhere(~np.isfinite(y))[0])])
+            raise EvaluationError("integrand returned a non-finite value at x=%r" % at,
+                                  abscissa=at)
+        i7 = half * (y * _G7_WEIGHTS).sum(axis=1)
+        i15 = half * (y * _K15_WEIGHTS).sum(axis=1)
         err = np.abs(i15 - i7)
         total = done_sum + i15.sum()
         tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
@@ -179,16 +179,12 @@ def integrate_inverse_sqrt_singularity(f, U, spec=None):
     return integrate_adaptive(transformed, 0.0, math.sqrt(U), spec)
 
 
-# One panel of the boundary-kernel rule: the 15-point nodes, then the
-# 7-point ones, on [0, 1] (the first panel) and on [1, 2] (the others,
-# which double in width); weight column 0 is the 15-point rule, column 1
-# the 7-point rule, each for a panel of half-width 1/2.
-_KERNEL_NODES = np.concatenate((_NODES15, _NODES7))
-_KERNEL_FIRST = 0.5 + 0.5 * _KERNEL_NODES
-_KERNEL_DOUBLING = 1.5 + 0.5 * _KERNEL_NODES
-_KERNEL_WEIGHTS = 0.5 * np.array(
-    [np.append(_WEIGHTS15, np.zeros(7)), np.append(np.zeros(15), _WEIGHTS7)]
-).T
+# One panel of the boundary-kernel rule: the K15 nodes on [0, 1] (the first
+# panel) and on [1, 2] (the others, which double in width); weight column 0
+# is the K15 rule, column 1 its G7 check, each for half-width 1/2.
+_KERNEL_FIRST = 0.5 + 0.5 * _K15_NODES
+_KERNEL_DOUBLING = 1.5 + 0.5 * _K15_NODES
+_KERNEL_WEIGHTS = 0.5 * np.array([_K15_WEIGHTS, _G7_WEIGHTS]).T
 
 
 _SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -198,7 +194,7 @@ _SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 def _kernel_rule(doublings):
     """Nodes and weights of the boundary-kernel rule with `doublings`
     doubling panels: v*(2-v) and (1-v)^2 at the nodes v, and the weight
-    matrix (15-point column, then 7-point column). The arrays are
+    matrix (K15 column, then G7 column). The arrays are
     read-only, as every caller shares them."""
     # panel p spans [0, w] for p = 0 and [scale, 2*scale] after it
     scale = np.ldexp(1.0, np.arange(-doublings - 1, 0))
@@ -228,13 +224,13 @@ def _boundary_kernels(b, rho, rows=3):
     (rho above about 1e-154), and it is what Newton on phi needs. K0 alone
     stays within range for every positive rho. The exponent -b*w keeps
     its digits where D falls to rho at v = 0; there the integrand has a
-    layer of height 1/rho and width about rho/(2b). A 15-point
-    Gauss-Legendre rule on panels 0, w, 2w, 4w, ..., 1 resolves it, with w
+    layer of height 1/rho and width about rho/(2b). The 15-point
+    Gauss-Kronrod rule on panels 0, w, 2w, 4w, ..., 1 resolves it, with w
     the largest power of two at most min(min(rho, 1)/(2*b_max), 1/2). One
     rule serves the whole call, so the values are smooth in b; a rule
-    from a larger b_max moves them by rounding only (at most 4.4e-16
-    relative in K0, for rho from 1e-12 to 0.5). The 7-point rule on the
-    same panels is the embedded check of every row returned:
+    from a larger b_max moves them by rounding only (at most 7.2e-16
+    relative in K0, for rho from 1e-12 to 0.5). The 7-point Gauss rule on
+    the odd nodes is the embedded check of every row returned:
     AccuracyError if the two differ by more than 1e-6 relative and by more
     than subnormal rounding, with the position of the first such b as its
     index. Each row is computed only where asked. The rows of all b share

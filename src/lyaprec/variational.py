@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError, NumericsError, _check_q1, _check_rho, _stage
 from .numerics import (
     ACCURATE_QUADRATURE,
-    _NODES15,
-    _WEIGHTS15,
+    _K15_NODES,
+    _K15_WEIGHTS,
     _boundary_kernels,
     expit,
     integrate_adaptive,
@@ -503,7 +503,7 @@ def lambda_of_h1(h1, params):
     The integrand has a square-root zero at x = h1; flipping to
     w = h1 - x puts that at the origin where the quadrature
     substitution flattens it. For h1 > 40 the integrand is sqrt(w) to
-    machine precision wherever x > 40, and the 7/15-point check, exact
+    machine precision wherever x > 40, and the K15/G7 check, exact
     there, can pass a panel that hides the softplus knee at x = 0; the
     point x = 40, w = h1 - 40, is then a breakpoint.
     """
@@ -669,7 +669,8 @@ def reconstruct_profile(branch, params, nodes=2000):
     S(w) = integral of psi, psi(v) = 2v / sqrt(log((1+e^{h1})/(1+e^{h1-v^2}))),
     is smooth (psi(0) = 2/sqrt(f1)), and each grid node solves
     S(w) = 2*sqrt(beta)*(1 - y) by a vectorized Newton step off a
-    precomputed anchor table. Endpoints are pinned exactly.
+    precomputed anchor table. Endpoints are pinned exactly; h1 = log(rho),
+    where d = rho, gives the flat profile.
     """
     _check_q1(params)
     if nodes < 2:
@@ -679,15 +680,22 @@ def reconstruct_profile(branch, params, nodes=2000):
         raise DomainError("profile reconstruction needs beta > 0")
     h1 = branch.h1
     lr = math.log(rho)
-    if not h1 > lr:
-        raise DomainError("branch boundary logit must exceed log(rho)")
+    if h1 < lr:
+        raise DomainError("branch boundary logit must be at least log(rho)")
+    y = np.linspace(0.0, 1.0, nodes)
+    energy = float(2.0 * beta * softplus(h1))
+    if h1 == lr:
+        return OptimizerProfile(y, np.full(nodes, lr), np.full(nodes, expit(lr)), energy)
     f1 = float(expit(h1))
     W = math.sqrt(h1 - lr)
 
     def psi(v):
-        v = np.asarray(v, dtype=float)
-        vv = np.maximum(v, 1e-150)
-        D = softplus_diff(h1, h1 - vv * vv)
+        vv = np.maximum(np.asarray(v, dtype=float), 1e-150)
+        g = vv * vv
+        # from the gap g itself, as h1 - (h1 - g) loses the low digits of a
+        # small g, and that noise shows in the profile near y = 1
+        D = np.where(g < 30.0, np.log1p(expit(h1 - g) * np.expm1(np.minimum(g, 30.0))),
+                     softplus(h1) - softplus(h1 - g))
         # at v=0 the ratio limits to 2/sqrt(f1); D underflows to 0 there
         with np.errstate(divide="ignore", invalid="ignore"):
             out = 2.0 * vv / np.sqrt(D)
@@ -698,11 +706,10 @@ def reconstruct_profile(branch, params, nodes=2000):
     aw = np.linspace(0.0, W, M + 1)
     seg_mid = 0.5 * (aw[1:] + aw[:-1])
     seg_half = 0.5 * (aw[1:] - aw[:-1])
-    seg_nodes = seg_mid[:, None] + seg_half[:, None] * _NODES15
-    seg_int = seg_half * (psi(seg_nodes) * _WEIGHTS15).sum(axis=1)
+    seg_nodes = seg_mid[:, None] + seg_half[:, None] * _K15_NODES
+    seg_int = seg_half * (psi(seg_nodes) * _K15_WEIGHTS).sum(axis=1)
     S = np.concatenate(([0.0], np.cumsum(seg_int)))
 
-    y = np.linspace(0.0, 1.0, nodes)
     # target the table's own total rather than 2*sqrt(beta): the two agree
     # to quadrature accuracy, but using S[-1] keeps the pinned endpoints
     # consistent with their neighbours (an O(1e-11) coherent offset would
@@ -715,16 +722,11 @@ def reconstruct_profile(branch, params, nodes=2000):
         base = aw[j]
         half = 0.5 * (w - base)
         mid = base + half
-        local_nodes = mid[:, None] + half[:, None] * _NODES15
-        Sw = S[j] + half * (psi(local_nodes) * _WEIGHTS15).sum(axis=1)
+        local_nodes = mid[:, None] + half[:, None] * _K15_NODES
+        Sw = S[j] + half * (psi(local_nodes) * _K15_WEIGHTS).sum(axis=1)
         w = np.clip(w - (Sw - targets) / psi(w), 0.0, W)
 
     h = h1 - w * w
     h[0] = lr
     h[-1] = h1
-    return OptimizerProfile(
-        grid=y,
-        h_values=h,
-        f_values=expit(h),
-        energy=float(2.0 * beta * softplus(h1)),
-    )
+    return OptimizerProfile(y, h, expit(h), energy)

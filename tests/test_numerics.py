@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -42,6 +43,18 @@ def test_adaptive_polynomial():
 def test_adaptive_smooth_reference():
     got = integrate_adaptive(np.exp, 0.0, 1.0)
     assert got == pytest.approx(math.e - 1.0, rel=1e-12)
+
+
+def test_adaptive_one_integrand_call_per_round():
+    # the 7-point check reuses the Gauss nodes inside the 15 Kronrod nodes
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.exp(x)
+
+    assert integrate_adaptive(f, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert shapes == [(1, 15)]
 
 
 def test_adaptive_degenerate_interval():
@@ -317,11 +330,48 @@ def test_softplus_diff_broadcasts():
 # SciPy functions they replace.
 
 
-@pytest.mark.parametrize("n", [7, 15])
+@pytest.mark.parametrize("n", [7])
 def test_legendre_tables_are_scipys(n):
     nodes, weights = special.roots_legendre(n)
     assert getattr(numerics, "_NODES%d" % n).tobytes() == nodes.tobytes()
     assert getattr(numerics, "_WEIGHTS%d" % n).tobytes() == weights.tobytes()
+
+
+# The nonnegative nodes of the 15-point Gauss-Kronrod rule from the outside
+# in, then the weights of the same nodes, to 33 digits (the qk15 rule of
+# QUADPACK, re-derived by solving its exactness equations at 60 digits).
+_QK15_NODES = [
+    "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+    "0.586087235467691130294144838258730", "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245", "0"]
+_QK15_WEIGHTS = [
+    "0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+    "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+    "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+    "0.204432940075298892414161999234649", "0.209482141084727828012999174891714"]
+
+
+def test_kronrod_table_is_qk15():
+    nodes, weights = numerics._K15_NODES, numerics._K15_WEIGHTS
+    half_nodes = [float(mpmath.mpf(s)) for s in _QK15_NODES]
+    half_weights = [float(mpmath.mpf(s)) for s in _QK15_WEIGHTS]
+    want_nodes = np.array([-x for x in half_nodes] + half_nodes[-2::-1])
+    want_weights = np.array(half_weights + half_weights[-2::-1])
+    assert nodes[0::2].tobytes() == want_nodes[0::2].tobytes()
+    assert nodes[1::2].tobytes() == numerics._NODES7.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert numerics._G7_WEIGHTS[1::2].tobytes() == numerics._WEIGHTS7.tobytes()
+    assert not numerics._G7_WEIGHTS[0::2].any()
+    for k in range(0, 23, 2):
+        assert float(weights @ nodes ** k) == pytest.approx(2.0 / (k + 1), rel=0.0, abs=1e-15)
+    # the strings themselves: exact to their own digits in every moment
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(s) for s in _QK15_NODES]
+        ws = [mpmath.mpf(s) for s in _QK15_WEIGHTS]
+        for k in range(0, 23, 2):
+            got = ws[-1] * (k == 0) + 2 * mpmath.fsum(w * x ** k for w, x in zip(ws[:-1], xs))
+            assert abs(got - mpmath.mpf(2) / (k + 1)) < 1e-31
 
 
 def _same(got, want):

@@ -21,6 +21,7 @@ from lyaprec.numerics import (
 )
 from lyaprec.phase import appendix_b_checks, trace_phase_curve
 from lyaprec.variational import (
+    Branch,
     ModelParams,
     _folds,
     big_F,
@@ -417,7 +418,7 @@ def test_selected_value_matches_logit_route(beta_max):
 
 def test_logit_route_at_large_beta():
     # with h1 far above 40 the logit integrand is sqrt(w) to machine
-    # precision away from the softplus knee, so a 7/15-point check is exact
+    # precision away from the softplus knee, so a K15/G7 check is exact
     # on a panel that hides the knee unless the knee gets its own breakpoint
     params = ModelParams(0.05189386099324022, 1826.693155883632)
     res = lyapunov(params)
@@ -656,6 +657,51 @@ def test_profile_shape_and_energy():
     assert prof.energy == pytest.approx(
         2.0 * params.beta * float(softplus(res.selected.h1)), rel=1e-12
     )
+
+
+def test_profile_of_every_branch_at_tiny_rho():
+    # the low branch has d = rho and h1 = log(rho) exactly: its profile is
+    # flat, while the two upper branches rise from log(rho) to h1
+    params = ModelParams(1e-100, 1e3)
+    lr = math.log(params.rho)
+    branches = lyapunov(params).all_branches
+    assert len(branches) == 3 and branches[0].h1 == lr
+    for branch in branches:
+        prof = reconstruct_profile(branch, params, nodes=401)
+        assert prof.grid[0] == 0.0 and prof.grid[-1] == 1.0
+        assert prof.h_values[0] == lr and prof.h_values[-1] == branch.h1
+        assert np.all(np.diff(prof.h_values) >= 0.0)
+        assert prof.energy == 2.0 * params.beta * float(softplus(branch.h1))
+    flat = reconstruct_profile(branches[0], params, nodes=401)
+    assert np.all(flat.h_values == lr)
+    assert np.allclose(flat.f_values, expit(lr), rtol=1e-15, atol=0.0)
+    below = Branch(h1=math.nextafter(lr, -math.inf), d=params.rho, lambda_value=0.0)
+    with pytest.raises(DomainError):
+        reconstruct_profile(below, params)
+
+
+# (rho, beta, h1, h at nodes 400, 1000, 1600 and 1990 of a 2001-node grid):
+# 30-digit mpmath solutions of S(w) = S(W)*(1 - y) for the profile with
+# that boundary logit, h = h1 - w^2
+PROFILE_REFERENCE = [
+    (0.1, 5.7, -1.0128171220672046,
+     (-1.883953200032201705, -1.3757800293345874365, -1.0731156423457432976,
+      -1.0128550880088639987)),
+    (0.05, 8.0, 4.029997942587344,
+     (-0.76722036615814917663, 2.0821479889041781827, 3.7158924239291886043,
+      4.0298014354908979942)),
+    (1e-100, 1e3, 752.116978276736,
+     (112.11697827673583522, 502.11697827673590473, 712.11697827673594216,
+      752.09197827673594929)),
+]
+
+
+@pytest.mark.parametrize("rho,beta,h1,want", PROFILE_REFERENCE)
+def test_profile_matches_mpmath(rho, beta, h1, want):
+    prof = reconstruct_profile(Branch(h1=h1, d=0.5, lambda_value=0.0),
+                               ModelParams(rho, beta), nodes=2001)
+    got = prof.h_values[[400, 1000, 1600, 1990]]
+    assert np.all(np.abs(got - np.array(want)) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 
 def test_profile_validation():
