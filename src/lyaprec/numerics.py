@@ -8,8 +8,9 @@ solver, which ask it for K0 alone, for K0, K1 and dK0/db, or for those
 and b^2*d^2K0/db^2), real polylogarithms of order 2 and 3, a
 bisection on a predicate down to a relative width, and the logistic
 family: softplus, its inverse and differences, expit, and a log-sum-exp.
-The package needs no SciPy for any of them. Every quadrature runs on
-one 15-point Gauss-Kronrod table, whose 7 Gauss nodes and weights are
+The package needs no SciPy for any of them. Every quadrature, the
+profile rebuild on the kernel's panels included, runs on one 15-point
+Gauss-Kronrod table, whose 7 Gauss nodes and weights are
 SciPy's special.roots_legendre(7) bit for bit (numpy's leggauss differs
 at 2 of the 7 nodes, and at every weight). expit has two contracts: a
 scalar goes through math.exp, the libm call SciPy's expit makes, and
@@ -209,6 +210,15 @@ def _kernel_rule(doublings):
     return rule
 
 
+def _kernel_doublings(b_max, rho):
+    """Doubling panels of the boundary-kernel rule for every b <= b_max, so
+    that w = 2^-doublings (see _boundary_kernels); 1 where b_max <= 0."""
+    if not b_max > 0.0:
+        return 1
+    # a difference of logs, as b_max/rho can overflow, and 2*b_max too
+    return max(1, math.ceil(math.log2(b_max) + 1.0 - math.log2(min(rho, 1.0))))
+
+
 def _boundary_kernels(b, rho, rows=3):
     """The leading `rows` of K0, K1, dK0/db and b^2*d^2K0/db^2 of the
     boundary-equation family at an array of b, as a tuple of arrays:
@@ -240,16 +250,12 @@ def _boundary_kernels(b, rho, rows=3):
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     b_max = float(b.max())
-    doublings = 1
     # the fold scan's nodes overflow to inf for rho below about 1e-307
     if b_max == math.inf:
         exc = NumericsError("kernel argument b overflowed to inf")
         exc.index = int(np.argmax(b))
         raise exc
-    if b_max > 0.0:
-        # a difference of logs, as b_max/rho can overflow, and 2*b_max too
-        doublings = max(1, math.ceil(math.log2(b_max) + 1.0 - math.log2(min(rho, 1.0))))
-    layer, u2, weights = _kernel_rule(doublings)
+    layer, u2, weights = _kernel_rule(_kernel_doublings(b_max, rho))
     # 1/D, u^2/D, w*E/D^2 (the integrand of -dK0/db) and b^2 times the
     # integrand of the second derivative, each a row block of one buffer
     n = layer.size

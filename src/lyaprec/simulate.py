@@ -399,8 +399,12 @@ def clt_check(spec):
     normal with variance (2*beta/3) * (rho/(1+rho))^2. Reports the
     empirical variance, the target, their ratio, and the worst
     deviation of the standardized sample from the normal distribution
-    function.
+    function. A target of 0 (rho = 0 or beta = 0) raises DomainError.
     """
+    f = spec.rho / (1.0 + spec.rho)
+    variance_target = (2.0 * spec.beta / 3.0) * f * f
+    if not variance_target > 0:
+        raise DomainError("clt_check needs a positive target variance (rho > 0, beta > 0)")
     vals = []
     for log_x in simulate_paths(spec):
         vals.append(log_x)
@@ -409,15 +413,13 @@ def clt_check(spec):
         raise DomainError("need at least 2 paths")
     scaled = (log_x - log_x.mean()) / math.sqrt(spec.n)
     variance_empirical = float(scaled.var(ddof=1))
-    f = spec.rho / (1.0 + spec.rho)
-    variance_target = (2.0 * spec.beta / 3.0) * f * f
     z = np.sort((log_x - log_x.mean()) / log_x.std(ddof=1))
     ecdf = (np.arange(1, z.size + 1) - 0.5) / z.size
     qq_max_deviation = float(np.abs(ecdf - _normal_cdf(z)).max())
     return CLTReport(
         variance_empirical=variance_empirical,
         variance_target=variance_target,
-        ratio=variance_empirical / variance_target if variance_target > 0 else math.nan,
+        ratio=variance_empirical / variance_target,
         qq_max_deviation=qq_max_deviation,
         n=spec.n,
         paths=log_x.size,

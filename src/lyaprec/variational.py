@@ -42,9 +42,10 @@ import numpy as np
 from .errors import DomainError, EvaluationError, NumericsError, _check_q1, _check_rho, _stage
 from .numerics import (
     ACCURATE_QUADRATURE,
-    _K15_NODES,
-    _K15_WEIGHTS,
+    _KERNEL_FIRST,
+    _KERNEL_WEIGHTS,
     _boundary_kernels,
+    _kernel_doublings,
     expit,
     integrate_adaptive,
     integrate_inverse_sqrt_singularity,
@@ -663,14 +664,20 @@ def reconstruct_profile(branch, params, nodes=2000):
     """Rebuild the maximizing profile h(y) on a uniform y-grid.
 
     The stationary profile satisfies
-    h'(y) = 2*sqrt(beta) * sqrt(log((1+e^{h1})/(1+e^h))), h(0) = log rho,
-    so y is recovered from h by integrating 1/h'. With the tail
-    substitution h = h1 - w^2 the cumulative map
-    S(w) = integral of psi, psi(v) = 2v / sqrt(log((1+e^{h1})/(1+e^{h1-v^2}))),
-    is smooth (psi(0) = 2/sqrt(f1)), and each grid node solves
-    S(w) = 2*sqrt(beta)*(1 - y) by a vectorized Newton step off a
-    precomputed anchor table. Endpoints are pinned exactly; h1 = log(rho),
-    where d = rho, gives the flat profile.
+    h'(y) = 2*sqrt(beta) * sqrt(log((1+e^{h1})/(1+e^h))), h(0) = log rho.
+    In the boundary kernel's variable v = 1 - u, with
+    b = log((1+e^{h1})/(1+rho)) and D = rho - expm1(-b*v*(2-v)), it is
+    h = inverse_softplus(log1p(rho) + b*v*(2-v)) at y = d*(1+rho) times
+    the integral of 1/D over [0, v]: the running K0, which is 1 at v = 1.
+    1/D is summed on the kernel's own panels 0, w, 2w, ..., 1/2, 1, graded
+    into its layer at v = 0, and y is the running sum over its total, so
+    the pinned endpoints agree with their neighbours. Each node's v takes
+    6 Newton steps inside its panel from linear interpolation there, with
+    the partial integral on the panel's 15 Gauss-Kronrod nodes, each step
+    clipped to the panel. b = 0 (h1 = log(rho), where d = rho, or b
+    underflows) gives the flat profile. At a subnormal rho the layer is
+    subnormal in v, and h keeps fewer digits near y = 0. The energy is inf
+    where it overflows.
     """
     _check_q1(params)
     if nodes < 2:
@@ -683,50 +690,33 @@ def reconstruct_profile(branch, params, nodes=2000):
     if h1 < lr:
         raise DomainError("branch boundary logit must be at least log(rho)")
     y = np.linspace(0.0, 1.0, nodes)
-    energy = float(2.0 * beta * softplus(h1))
-    if h1 == lr:
-        return OptimizerProfile(y, np.full(nodes, lr), np.full(nodes, expit(lr)), energy)
-    f1 = float(expit(h1))
-    W = math.sqrt(h1 - lr)
+    # a product of Python floats, which overflows to inf with no warning
+    energy = 2.0 * beta * float(softplus(h1))
+    b = float(softplus_diff(h1, lr))
+    if b == 0.0:
+        h = np.full(nodes, lr)
+    else:
+        doublings = _kernel_doublings(b, rho)
+        edges = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-doublings, 1))))
+        # 1/D reaches 1/rho, past the float range at a subnormal rho; y is
+        # a ratio, so the integrand carries a factor that keeps it in range
+        scale = min(1.0, rho * 2.0 ** 1000)
 
-    def psi(v):
-        vv = np.maximum(np.asarray(v, dtype=float), 1e-150)
-        g = vv * vv
-        # from the gap g itself, as h1 - (h1 - g) loses the low digits of a
-        # small g, and that noise shows in the profile near y = 1
-        D = np.where(g < 30.0, np.log1p(expit(h1 - g) * np.expm1(np.minimum(g, 30.0))),
-                     softplus(h1) - softplus(h1 - g))
-        # at v=0 the ratio limits to 2/sqrt(f1); D underflows to 0 there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 2.0 * vv / np.sqrt(D)
-        return np.where(D > 0.0, out, 2.0 / math.sqrt(f1))
+        def inv_D(v):
+            return scale / (rho - np.expm1(-b * v * (2.0 - v)))
 
-    # anchor table for S on [0, W]
-    M = 512
-    aw = np.linspace(0.0, W, M + 1)
-    seg_mid = 0.5 * (aw[1:] + aw[:-1])
-    seg_half = 0.5 * (aw[1:] - aw[:-1])
-    seg_nodes = seg_mid[:, None] + seg_half[:, None] * _K15_NODES
-    seg_int = seg_half * (psi(seg_nodes) * _K15_WEIGHTS).sum(axis=1)
-    S = np.concatenate(([0.0], np.cumsum(seg_int)))
+        def partial(lo, v):
+            width = v - lo
+            return width * (inv_D(lo[:, None] + width[:, None] * _KERNEL_FIRST)
+                            @ _KERNEL_WEIGHTS[:, 0])
 
-    # target the table's own total rather than 2*sqrt(beta): the two agree
-    # to quadrature accuracy, but using S[-1] keeps the pinned endpoints
-    # consistent with their neighbours (an O(1e-11) coherent offset would
-    # otherwise be amplified by 1/dy^2 in second differences at the ends)
-    targets = S[-1] * (1.0 - y)
-    w = np.interp(targets, S, aw)
-    seg_width = W / M
-    for _ in range(6):
-        j = np.clip((w / seg_width).astype(int), 0, M - 1)
-        base = aw[j]
-        half = 0.5 * (w - base)
-        mid = base + half
-        local_nodes = mid[:, None] + half[:, None] * _K15_NODES
-        Sw = S[j] + half * (psi(local_nodes) * _K15_WEIGHTS).sum(axis=1)
-        w = np.clip(w - (Sw - targets) / psi(w), 0.0, W)
-
-    h = h1 - w * w
-    h[0] = lr
-    h[-1] = h1
+        cum = np.concatenate(([0.0], np.cumsum(partial(edges[:-1], edges[1:]))))
+        targets = cum[-1] * y
+        j = np.minimum(np.searchsorted(cum, targets, side="right") - 1, doublings)
+        lo, hi = edges[j], edges[j + 1]
+        v = lo + (targets - cum[j]) / (cum[j + 1] - cum[j]) * (hi - lo)
+        for _ in range(6):
+            v = np.clip(v - (cum[j] + partial(lo, v) - targets) / inv_D(v), lo, hi)
+        h = inverse_softplus(math.log1p(rho) + b * v * (2.0 - v))
+    h[0], h[-1] = lr, h1
     return OptimizerProfile(y, h, expit(h), energy)

@@ -163,6 +163,9 @@ def test_exit_codes(monkeypatch, capsys):
     assert main(["lyapunov", "--rho", "0.1", "--beta", "8.9e307"]) == 0
     assert main(["meanfield", "--rho", "0.1", "--beta", "1e308"]) == 0
     assert main(["nonsense"]) == 2
+    # no CLT ratio at a zero target variance
+    assert main(["simulate", "--clt", "--beta", "0"]) == 2
+    assert main(["simulate", "--clt", "--rho", "0", "--beta", "1"]) == 2
     monkeypatch.setenv("LYAPREC_THREADS", "abc")
     assert main(["simulate", "--n", "10", "--paths", "100"]) == 2
     capsys.readouterr()

@@ -266,6 +266,11 @@ def test_clt_report():
     assert rep.variance_target == pytest.approx(2.0 * (0.2 / 1.2) ** 2, rel=1e-12)
     assert abs(rep.ratio - 1.0) < 0.1
     assert rep.qq_max_deviation < 0.05
+    # rho = 0 or beta = 0 leaves no fluctuation: the target variance is 0
+    with pytest.raises(DomainError, match="positive target variance"):
+        clt_check(SimSpec.from_beta(400, 0.2, 0.0, paths=100))
+    with pytest.raises(DomainError, match="positive target variance"):
+        clt_check(SimSpec.from_beta(400, 0.0, 1.0, paths=100))
 
 
 def test_growth_rate_noise_invariance():

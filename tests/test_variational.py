@@ -680,19 +680,32 @@ def test_profile_of_every_branch_at_tiny_rho():
         reconstruct_profile(below, params)
 
 
-# (rho, beta, h1, h at nodes 400, 1000, 1600 and 1990 of a 2001-node grid):
-# 30-digit mpmath solutions of S(w) = S(W)*(1 - y) for the profile with
-# that boundary logit, h = h1 - w^2
+# (rho, beta, h1, h at nodes 1, 2, 400, 1000, 1600 and 1990 of a 2001-node
+# grid): 50-digit mpmath solutions of S(w) = S(W)*(1 - y), with
+# S(w) = integral over [0, w] of 2v / sqrt(log((1+e^{h1})/(1+e^{h1-v^2}))),
+# W = sqrt(h1 - log(rho)) and h = h1 - w^2, a form the code does not use.
+# Rows 4 and 5 are the selected branch of (0.1, 1e6) and the top branch of
+# (3.7338993799240465e-05, 6981.216721725687), where h1 is large; in the
+# last, 1/rho overflows and the layer at y = 0 is subnormal in the kernel's v
 PROFILE_REFERENCE = [
     (0.1, 5.7, -1.0128171220672046,
-     (-1.883953200032201705, -1.3757800293345874365, -1.0731156423457432976,
-      -1.0128550880088639987)),
+     (-2.301479434515116031796, -2.300374035387651583393, -1.883953200032201704991,
+      -1.375780029334587436464, -1.073115642345743297562, -1.012855088008863998683)),
     (0.05, 8.0, 4.029997942587344,
-     (-0.76722036615814917663, 2.0821479889041781827, 3.7158924239291886043,
-      4.0298014354908979942)),
+     (-2.990076344898231919482, -2.984420607747747977028, -0.7672203661581491766314,
+      2.082147988904178182705, 3.715892423929188604349, 4.029801435490897994199)),
     (1e-100, 1e3, 752.116978276736,
-     (112.11697827673583522, 502.11697827673590473, 712.11697827673594216,
-      752.09197827673594929)),
+     (-229.3912625189108405855, -228.5240157384171127892, 112.11697827673583522,
+      502.1169782767359047336, 712.1169782767359421641, 752.0919782767359492892)),
+    (0.1, 1e6, 999997.6974128075,
+     (997.4474128078600210771, 1996.697412807859655367, 359997.6974128077286324,
+      749997.6974128075858982, 959997.6974128075090413, 999972.6974128074944111)),
+    (3.7338993799240465e-05, 6981.216721725687, 6971.017403421523,
+     (-3.219360005399356641494, 3.756135590633784990386, 2503.038701517082360097,
+      5225.713222990101082537, 6691.768734552495779236, 6970.842873003480198286)),
+    (1e-310, 5.0, 0.0,
+     (-713.4435951278164616953, -713.0858114274787582899, -570.6878986930728029582,
+      -356.0176784904507597447, -141.3474582878287165311, -1.922276495288135811836)),
 ]
 
 
@@ -700,8 +713,40 @@ PROFILE_REFERENCE = [
 def test_profile_matches_mpmath(rho, beta, h1, want):
     prof = reconstruct_profile(Branch(h1=h1, d=0.5, lambda_value=0.0),
                                ModelParams(rho, beta), nodes=2001)
-    got = prof.h_values[[400, 1000, 1600, 1990]]
+    got = prof.h_values[[1, 2, 400, 1000, 1600, 1990]]
     assert np.all(np.abs(got - np.array(want)) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("rho,beta", [(0.1, 5.7), (0.05, 8.0), (0.01, 12.0)])
+def test_profile_mean_occupation_is_branch_d(rho, beta):
+    # h'' = -2*beta*f and h'(1) = 0, so the integral of f over y is
+    # h'(0)/(2*beta) = sqrt(L(h1) - L(log rho))/sqrt(beta) = d
+    params = ModelParams(rho, beta)
+    for branch in lyapunov(params).all_branches:
+        prof = reconstruct_profile(branch, params, nodes=2001)
+        assert abs(sp_integrate.simpson(prof.f_values, x=prof.grid) - branch.d) <= 1e-12
+
+
+def test_profile_energy_overflows_to_inf_without_warning():
+    params = ModelParams(0.1, 1e300)
+    branch = lyapunov(params).selected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = reconstruct_profile(branch, params)
+    h = prof.h_values
+    assert prof.energy == math.inf
+    assert np.all(np.isfinite(h)) and np.all(np.diff(h) >= 0.0)
+    assert h[0] == math.log(0.1) and h[-1] == branch.h1
+
+
+def test_flat_profile_where_b_underflows():
+    # one ulp above log(rho) at a subnormal rho, b = L(h1) - L(log rho)
+    # rounds to 0
+    lr = math.log(1e-310)
+    h1 = math.nextafter(lr, 0.0)
+    prof = reconstruct_profile(Branch(h1=h1, d=1e-310, lambda_value=0.0),
+                               ModelParams(1e-310, 5.0), nodes=11)
+    assert np.all(prof.h_values[:-1] == lr) and prof.h_values[-1] == h1
 
 
 def test_profile_validation():
