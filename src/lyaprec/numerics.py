@@ -4,10 +4,11 @@ Five families of tools live here: adaptive panel quadrature with an
 exact substitution for integrands that blow up like 1/sqrt(y) at the
 left endpoint, a fixed graded rule for the kernel family of the
 boundary equation (the one rule behind big_F, big_F_scan and every
-solver, which ask it for K0 alone, for K0, K1 and dK0/db, or for those
-and b^2*d^2K0/db^2), real polylogarithms of order 2 and 3, a
-bisection on a predicate down to a relative width, and the logistic
-family: softplus, its inverse and differences, expit, and a log-sum-exp.
+solver, which ask it for K0 alone, for K0 and dK0/db, for those and
+K1, or for all three and b^2*d^2K0/db^2), real polylogarithms of order
+2 and 3, a bisection on a predicate down to a relative width, and the
+logistic family: softplus, its inverse and differences, expit, and a
+log-sum-exp.
 The package needs no SciPy for any of them. Every quadrature, the
 profile rebuild on the kernel's panels included, runs on one 15-point
 Gauss-Kronrod table, whose 7 Gauss nodes and weights are
@@ -194,7 +195,7 @@ _SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 @functools.lru_cache(maxsize=64)
 def _kernel_rule(doublings):
     """Nodes and weights of the boundary-kernel rule with `doublings`
-    doubling panels: v*(2-v) and (1-v)^2 at the nodes v, and the weight
+    doubling panels: -v*(2-v) and (1-v)^2 at the nodes v, and the weight
     matrix (K15 column, then G7 column). The arrays are
     read-only, as every caller shares them."""
     # panel p spans [0, w] for p = 0 and [scale, 2*scale] after it
@@ -203,7 +204,7 @@ def _kernel_rule(doublings):
     v = np.multiply.outer(scale, _KERNEL_DOUBLING)
     v[0] = scale[0] * _KERNEL_FIRST
     v = v.ravel()
-    rule = (v * (2.0 - v), (1.0 - v) ** 2,
+    rule = (-(v * (2.0 - v)), (1.0 - v) ** 2,
             np.multiply.outer(scale, _KERNEL_WEIGHTS).reshape(-1, 2))
     for arr in rule:
         arr.flags.writeable = False
@@ -220,10 +221,11 @@ def _kernel_doublings(b_max, rho):
 
 
 def _boundary_kernels(b, rho, rows=3):
-    """The leading `rows` of K0, K1, dK0/db and b^2*d^2K0/db^2 of the
-    boundary-equation family at an array of b, as a tuple of arrays:
-    rows=1 gives K0 alone, 3 adds K1 and dK0/db, 4 the scaled second
-    derivative.
+    """The leading `rows` of K0, dK0/db, K1 and b^2*d^2K0/db^2 of the
+    boundary-equation family at an array of b, as a tuple of arrays in
+    that order: rows=1 gives K0 alone, 2 adds dK0/db (all the fold scan
+    needs), 3 adds K1 (all a root solve needs), 4 the scaled second
+    derivative (the fold polish).
 
     K_m(b; rho) = integral over u in [0, 1] of u^(2m) / (rho - expm1(b*(u^2 - 1))).
     In v = 1 - u, with w = v*(2-v), E = e^(-b*w) and the denominator
@@ -255,48 +257,61 @@ def _boundary_kernels(b, rho, rows=3):
         exc = NumericsError("kernel argument b overflowed to inf")
         exc.index = int(np.argmax(b))
         raise exc
-    layer, u2, weights = _kernel_rule(_kernel_doublings(b_max, rho))
-    # 1/D, u^2/D, w*E/D^2 (the integrand of -dK0/db) and b^2 times the
-    # integrand of the second derivative, each a row block of one buffer
-    n = layer.size
-    buf = np.empty((b.size, rows, n))
+    neg_w, u2, weights = _kernel_rule(_kernel_doublings(b_max, rho))
+    # 1/D, u^2/D, -w*E/D^2 (the integrand of dK0/db) and b^2 times the
+    # integrand of the second derivative, each a row of the gemm's matrix;
+    # rows=2 leaves out u^2/D. The gemm's sum for a row can change with its
+    # place in the matrix where the row count is not a multiple of the BLAS
+    # block, so rows 3 and 4 (the solvers' calls at a few b) interleave the
+    # rows of each b, in this order. rows=1 and 2 lay each row out whole,
+    # so the steps below run on contiguous blocks: the fold scan's 32
+    # points take half the time, and their K0 and dK0/db keep the bits of
+    # a three-row call (checked for rho down to 1e-100; further down, past
+    # about 5000 nodes, the blocking can round them differently)
+    n = neg_w.size
+    if rows < 3:
+        raw = np.empty((rows, b.size, n))
+        buf = raw.transpose(1, 0, 2)
+    else:
+        raw = buf = np.empty((b.size, rows, n))
+    at = (0, 2, 1, 3) if rows > 2 else (0, 1)
     inv = buf[:, 0]
-    np.multiply.outer(b, -layer, out=inv)
+    np.multiply.outer(b, neg_w, out=inv)
     np.expm1(inv, out=inv)
-    if rows > 2:
-        slope = buf[:, 2]
+    if rows > 1:
+        slope = buf[:, at[1]]
         np.add(inv, 1.0, out=slope)
     np.subtract(rho, inv, out=inv)
     np.reciprocal(inv, out=inv)
-    if rows > 1:
+    if rows > 2:
         np.multiply(inv, u2, out=buf[:, 1])
     if rows > 3:
-        # b*w*(1 + 2E/D), at most about 5 where b is near rho, times
-        # b*w*E/D^2 below
+        # -b*w*(1 + 2E/D), at most about 5 in size where b is near rho,
+        # times -b*w*E/D^2 below
         curv = buf[:, 3]
         np.multiply(slope, inv, out=curv)
         curv *= 2.0
         curv += 1.0
-        curv *= np.multiply.outer(b, layer)
-    if rows > 2:
-        slope *= layer
+        curv *= np.multiply.outer(b, neg_w)
+    if rows > 1:
+        slope *= neg_w
         slope *= inv
         slope *= inv
     if rows > 3:
         curv *= slope
         curv *= b[:, None]
-    vals = (buf.reshape(-1, n) @ weights).reshape(b.size, rows, 2)
-    if rows > 2:
-        vals[:, 2] *= -1.0
+    vals = (raw.reshape(-1, n) @ weights).reshape(raw.shape[:2] + (2,))
+    if rows < 3:
+        vals = vals.transpose(1, 0, 2)
     fine = vals[:, :, 0]
     err = np.abs(fine - vals[:, :, 1])
     bad = err > 1e-6 * np.abs(fine)
-    if bad.any():
+    if np.count_nonzero(bad):
         # dK0 falls to about -1/(2b^2), subnormal for b from about 1e154
         # on; each node's term then rounds to a multiple of the smallest
         # subnormal, and the two rules may differ by one such step per
         # node without any layer being unresolved
-        bad &= err > layer.size * _SUBNORMAL
+        bad &= err > n * _SUBNORMAL
         if bad.any():
             i = tuple(np.argwhere(bad)[0])
             exc = AccuracyError(
@@ -306,7 +321,7 @@ def _boundary_kernels(b, rho, rows=3):
             )
             exc.index = int(i[0])
             raise exc
-    return tuple(fine.T)
+    return tuple(fine[:, i] for i in at[:rows])
 
 
 def _power_series(z, p):
@@ -409,9 +424,10 @@ def inverse_softplus(y):
 
     x = log(expm1(y)) = y + log(-expm1(-y)): expm1 keeps every digit of
     1 - e^-y at small y, where x tends to log(y)."""
-    if np.any(np.asarray(y) <= 0):
+    y = np.asarray(y, dtype=float)
+    if (y <= 0).any():
         raise DomainError("inverse_softplus needs y > 0")
-    return y + np.log(-np.expm1(-np.asarray(y, dtype=float)))
+    return y + np.log(-np.expm1(-y))
 
 
 def softplus_diff(x_hi, x_lo):

@@ -31,6 +31,7 @@ from .numerics import (
 from .variational import (
     ModelParams,
     _folds,
+    _hermite,
     _level_roots,
     _polish_folds,
     big_F_scan,
@@ -368,9 +369,7 @@ def _equal_area_start(b, B, phi, b_f, B_f):
     hump, dip, last = k[0], k[1] + 1, len(t) - 1
     # per cell, log B = y0 + u*(s0 + u*(c2 + u*c3)) at log b = t0 + h*u
     t, y, m = np.array(t), np.array(y), np.array(m)
-    h = np.diff(t)
-    s0, s1, dy = m[:-1] * h, m[1:] * h, np.diff(y)
-    c2, c3 = 3.0 * dy - 2.0 * s0 - s1, s0 + s1 - 2.0 * dy
+    h, s0, c2, c3 = _hermite(t, y, m)
     # area[i]: the integral of sqrt(B) db = e^(t + log B/2) dt up to node i,
     # by 7-point Gauss-Legendre on each cell
     u = 0.5 + 0.5 * _NODES7
@@ -442,7 +441,8 @@ def _moved_roots(d, beta, phi, r, new):
     """Each root d at beta, with residual r and log slope phi there, moved
     by its Newton step to B(b) = new: with d(log b)/d(log beta) = 1/phi,
     d(log d)/d(log beta) = (1/phi - 1)/2, and log(1+r) has slope phi/2 in
-    log b."""
+    log b. The roots come as a sequence, and go back as an array."""
+    d, phi, r = np.array(d), np.array(phi), np.array(r)
     return d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi)
 
 
@@ -456,7 +456,7 @@ def _trace_one(rho):
         if cells is None:
             raise DomainError("no coexistence window at rho=%r; the amplitude is "
                               "at or above the critical value" % rho)
-        b_f, B_f = _polish_folds(rho, b[cells], phi[cells])
+        b_f, B_f = _polish_folds(rho, b[cells], B[cells], phi[cells])
     (b_hump, b_dip), (hi, lo) = b_f.tolist(), B_f.tolist()
     beta, d = _equal_area_start(b, B, phi, b_f, B_f)
     last = 0.0  # the last Newton step, 0 where there is none
@@ -465,13 +465,13 @@ def _trace_one(rho):
             # the low piece [beta*(rho/(1+rho))^2, b_hump], the high one
             # [b_dip, beta], as d = sqrt(b/beta)
             d, K1, phi, r, _, _ = _level_roots(
-                rho, beta, np.array([rho / (1.0 + rho), math.sqrt(b_dip / beta)]),
-                np.array([math.sqrt(b_hump / beta), 1.0]), d)
-        b_r = beta * d * d
-        d1, d2 = float(d[0]), float(d[1])
+                rho, [beta, beta], [rho / (1.0 + rho), math.sqrt(b_dip / beta)],
+                [math.sqrt(b_hump / beta), 1.0], d)
+        d1, d2 = d
         # branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1
-        lam1, lam2 = b_r + math.log1p(rho) - 2.0 * (1.0 + rho) * b_r * d * K1
-        gap = float(lam2 - lam1)
+        lam1, lam2 = [b_r + math.log1p(rho) - 2.0 * (1.0 + rho) * b_r * x * k
+                      for x, k, b_r in zip(d, K1, [beta * x * x for x in d])]
+        gap = lam2 - lam1
         lo, hi = (beta, hi) if gap < 0 else (lo, beta)
         # each branch has dlambda/dbeta = (beta*d^2 + log(1+rho) - lambda)/(2*beta)
         step = -2.0 * beta * gap / (beta * (d2 * d2 - d1 * d1) - gap)

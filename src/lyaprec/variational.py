@@ -17,23 +17,29 @@ big_F = 2*sqrt(b)*(1+rho)*K0(b), so the boundary equation reads
 B(b) = beta for the beta level B(b) = b*(1+rho)^2*K0(b)^2, every root
 lies in [beta*(rho/(1+rho))^2, beta], and the branch value is
 beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1(beta*d^2). One fixed-rule
-kernel call gives K0, K1 and dK0/db at a whole array of b, and
-d^2K0/db^2 where asked. For each rho, B has at most one hump and one dip,
-the zeros of phi = 1 + 2b*K0'/K0, which do not depend on beta: one fold
-scan (_folds) splits the root interval into at most three monotone
-pieces, each holding at most one root, one Newton solve in log b on phi
-(_polish_folds) polishes the folds that a solve needs, all in one kernel
-call per step, and one Newton solver in log b (_level_roots) refines the
-roots. A row of many beta at one rho (_solve_row) shares the scan and the
-polish and solves the roots of every beta in the same Newton iteration;
-the phase module traces the first-order curve on the same operations.
-The route through the boundary logit, lambda_of_h1, stays as a check.
+kernel call gives K0 and dK0/db at a whole array of b, K1 where a root
+solve needs it, and d^2K0/db^2 where the fold polish does. For each rho,
+B has at most one hump and one dip, the zeros of phi = 1 + 2b*K0'/K0,
+which do not depend on beta: one fold scan (_folds, on K0 and dK0/db
+alone) splits the root interval into at most three monotone pieces, each
+holding at most one root, one Newton solve in log b on phi
+(_polish_folds), started where the cubic Hermite of log B across each
+fold's scan cell is flat, polishes the folds that a solve needs, all in
+one kernel call per step, and one Newton solver in log b (_level_roots)
+refines the roots. A row of many beta at one rho (_solve_row) shares the
+scan and the polish and solves the roots of every beta in the same
+Newton iteration; the phase module traces the first-order curve on the
+same operations. The masks, pieces and Newton steps of a solve run on
+Python floats, as a beta has at most three pieces, so a one-beta row
+costs little beyond its kernel calls. The route through the boundary
+logit, lambda_of_h1, stays as a check.
 
 Everything downstream (phase structure, jump fits, simulators) builds
 on the operations here.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -210,11 +216,12 @@ _FOLD_GRID = np.linspace(0.0, 1.0, 32)
 
 
 def _level(b, rho):
-    """Beta level B(b) = b*(1+rho)^2*K0(b)^2 = (big_F/2)^2, K1, and
-    phi = 1 + 2b*K0'/K0 = d(log B)/d(log b) at an array of b = beta*d^2.
-    The roots at beta solve B(b) = beta; phi has the sign of g'(d)."""
-    K0, K1, dK0 = _boundary_kernels(b, rho)
-    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, K1, 1.0 + b * (2.0 * dK0) / K0
+    """Beta level B(b) = b*(1+rho)^2*K0(b)^2 = (big_F/2)^2 and
+    phi = 1 + 2b*K0'/K0 = d(log B)/d(log b) at an array of b = beta*d^2,
+    from the kernel's K0 and dK0/db rows alone. The roots at beta solve
+    B(b) = beta; phi has the sign of g'(d)."""
+    K0, dK0 = _boundary_kernels(b, rho, rows=2)
+    return (np.sqrt(b) * (1.0 + rho) * K0) ** 2, 1.0 + b * (2.0 * dK0) / K0
 
 
 def _folds(rho):
@@ -224,22 +231,23 @@ def _folds(rho):
 
     The folds do not depend on beta: they are the zeros of phi, which
     tends to 1 at both ends and is negative exactly between them. One
-    kernel call scans phi at 32 log-spaced b on [rho/16, 16], the top
-    pushed out while phi <= 0 there. Just under rho_c a hump and a dip
-    can both hide between two nodes; a parabola through three nodes dips
-    at most an eighth of their second difference below the middle one,
-    so while the lowest node is within a quarter of it (the higher terms
-    took the dip to 0.11 at most over rho in [0.10, 0.14]) the scan zooms
-    in: its two cells are scanned again at the same 32 positions. Only
-    the sign matters, so the zoom stops at the first scan with a node
-    where phi < 0, and its nodes from the one before the first negative
-    node to the one after the last join the scan; a zoom that finds none
-    ends once its two cells are narrower than 1e-8 in log b, where phi
-    is off its minimum by about 1e-16."""
+    kernel call for K0 and dK0/db alone (_level) scans phi at 32
+    log-spaced b on [rho/16, 16], the top pushed out while phi <= 0
+    there. Just under rho_c a hump and a dip can both hide between two
+    nodes; a parabola through three nodes dips at most an eighth of their
+    second difference below the middle one, so while the lowest node is
+    within a quarter of it (the higher terms took the dip to 0.11 at most
+    over rho in [0.10, 0.14]) the scan zooms in: its two cells are
+    scanned again at the same 32 positions. Only the sign matters, so the
+    zoom stops at the first scan with a node where phi < 0, and its nodes
+    from the one before the first negative node to the one after the last
+    join the scan; a zoom that finds none ends once its two cells are
+    narrower than 1e-8 in log b, where phi is off its minimum by about
+    1e-16."""
     top = 16.0
     while True:
         b = rho / 16.0 * (16.0 * top / rho) ** _FOLD_GRID
-        B, _, phi = _level(b, rho)
+        B, phi = _level(b, rho)
         if not phi[-1] <= 0:
             break
         top *= 16.0
@@ -250,7 +258,7 @@ def _folds(rho):
                 and 0 <= 4.0 * phi_x[i] <= phi_x[i - 1] - 2.0 * phi_x[i] + phi_x[i + 1]):
             break
         x = x[i - 1] * (x[i + 1] / x[i - 1]) ** _FOLD_GRID
-        B_x, _, phi_x = _level(x, rho)
+        B_x, phi_x = _level(x, rho)
         neg = np.flatnonzero(phi_x < 0)
         if neg.size:
             # merged in order; a rescanned cell end may repeat a node,
@@ -259,9 +267,19 @@ def _folds(rho):
             b, k = np.unique(np.concatenate((b, x[keep])), return_index=True)
             B, phi = np.concatenate((B, B_x[keep]))[k], np.concatenate((phi, phi_x[keep]))[k]
             break
-    neg = np.flatnonzero(phi < 0)
-    cells = np.array([[neg[0] - 1, neg[0]], [neg[-1], neg[-1] + 1]]) if neg.size else None
+    neg = np.flatnonzero(phi < 0).tolist()
+    cells = np.array([[neg[0] - 1, neg[0]], [neg[-1], neg[-1] + 1]]) if neg else None
     return b, B, phi, cells
+
+
+def _hermite(t, y, m):
+    """The cubic Hermite of y with slope m in t on each cell between
+    neighbouring nodes (the last axis): y = y0 + u*(s0 + u*(c2 + u*c3))
+    at t = t0 + h*u for u in [0, 1]. Returns h, s0, c2 and c3; the slope
+    in u is s0 + 2*c2*u + 3*c3*u^2, which is m*h at both ends."""
+    h = np.diff(t)
+    s0, s1, dy = m[..., :-1] * h, m[..., 1:] * h, np.diff(y)
+    return h, s0, 3.0 * dy - 2.0 * s0 - s1, s0 + s1 - 2.0 * dy
 
 
 _FOLD_TOL = 1e-12
@@ -269,29 +287,39 @@ _FOLD_TOL = 1e-12
 _RESIDUAL_FLOOR = 4.0 * float(np.finfo(float).eps)
 
 
-def _polish_folds(rho, b, phi):
-    """The zeros of phi in the given fold cells (rows of b and phi, each
-    with a sign change of phi), and B there: every fold refined at once by
-    safeguarded Newton in log b, one kernel call per step for all of them
-    (a fold or two, so the step itself is scalar arithmetic). The slope
-    dphi/d(log b) = 2b*K0'/K0 + 2b^2*(K0''/K0 - (K0'/K0)^2) comes from the
-    kernel's row of b^2*K0''. Each fold starts where the linear
-    interpolation of phi in log b over its cell is zero (at the cell's
-    middle in log b where phi is not finite at an end), and a step that
-    leaves the fold's bracket (its cell, narrowed by the signs of phi at
-    the iterates) bisects it in log b instead. A fold stays where it is
-    once |phi| <= 1e-12, or once its bracket is 4 ulp wide, where the
-    zero lies in it to rounding; B is taken from the call at which every
-    fold is done. A non-finite phi raises EvaluationError at its b, and a
-    fold still short after 100 steps NumericsError with its row as index."""
+def _polish_folds(rho, b, B, phi):
+    """The zeros of phi in the given fold cells (rows of b, B and phi,
+    each with a sign change of phi), and B there: every fold refined at
+    once by safeguarded Newton in log b, one kernel call per step for all
+    of them (a fold or two, so the step itself is scalar arithmetic). The
+    slope dphi/d(log b) = 2b*K0'/K0 + 2b^2*(K0''/K0 - (K0'/K0)^2) comes
+    from the kernel's row of b^2*K0''. Each fold starts where the cubic
+    Hermite of log B in log b across its cell (_hermite, slope phi at the
+    nodes) is flat, the zero of its quadratic slope; near rho_c, where phi
+    is near its minimum across the cell, this follows the curvature that
+    a linear interpolation of phi misses. Where that start is not finite
+    (phi not finite at an end) the fold starts at the cell's middle in
+    log b, and a step that leaves the fold's bracket (its cell, narrowed
+    by the signs of phi at the iterates) bisects it in log b instead. A
+    fold stays where it is once |phi| <= 1e-12, or once its bracket is 4
+    ulp wide, where the zero lies in it to rounding; B is taken from the
+    call at which every fold is done. A non-finite phi raises
+    EvaluationError at its b, and a fold still short after 100 steps
+    NumericsError with its row as index."""
     x, neg, pos = [], [], []
-    for (lo, hi), (phi_lo, phi_hi) in zip(b.tolist(), phi.tolist()):
-        start = lo * (hi / lo) ** (phi_lo / (phi_lo - phi_hi))
-        x.append(start if math.isfinite(start) else math.sqrt(lo * hi))
+    cubic = zip(*(a[:, 0].tolist() for a in _hermite(np.log(b), np.log(B), phi)))
+    for (lo, hi), (phi_lo, _), (h, s0, c2, c3) in zip(b.tolist(), phi.tolist(), cubic):
+        # the root in [0, 1] of the slope s0 + 2*c2*u + 3*c3*u^2, which
+        # changes sign there: s0/q and q/(3*c3), neither of which cancels
+        q = -(c2 + math.copysign(math.sqrt(max(c2 * c2 - 3.0 * c3 * s0, 0.0)), c2))
+        u = next((u for u in (s0 / q if q else math.nan, q / (3.0 * c3) if c3 else math.nan)
+                  if 0.0 <= u <= 1.0), math.nan)
+        start = lo * math.exp(h * u)
+        x.append(start if lo <= start <= hi else math.sqrt(lo * hi))
         neg.append(lo if phi_lo < 0 else hi)
         pos.append(hi if phi_lo < 0 else lo)
     for _ in range(100):
-        K0, _, dK0, ddK0 = _boundary_kernels(x, rho, rows=4)
+        K0, dK0, _, ddK0 = _boundary_kernels(x, rho, rows=4)
         done = []
         for i, (x_i, k0, k1, k2) in enumerate(zip(x, K0.tolist(), dK0.tolist(), ddK0.tolist())):
             g = x_i * k1 / k0
@@ -330,37 +358,52 @@ def _residual_target(beta):
 
 def _level_roots(rho, beta, neg, pos, d):
     """Roots of B(b) = beta, one per monotone piece of B, by safeguarded
-    Newton in log b from d, all pieces in one kernel call per step; beta
-    is one value, or one per piece where the pieces of several beta at
-    one rho share the solve. The iterate is carried as d = sqrt(b/beta),
-    exact where b underflows, and a piece as its ends neg and pos in d,
-    where r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is <= 0 and > 0. As
-    log(1+r) has slope phi in log d, the step is d/(1+r)^(1/phi); one
-    that leaves the bracket bisects it in log d instead, as does one where
-    (1+r)^(1/phi) under- or overflows far from a root (the step is then
-    inf or 0). A piece stays where it is while |r| <= _residual_target(beta),
-    its own target, and the solve stops when all pieces meet theirs;
-    returns d, K1, phi, r, neg and pos. A piece still short of its target
+    Newton in log b from d, all pieces in one kernel call per step; beta,
+    neg, pos and d hold one value per piece, as the pieces of several
+    beta at one rho share the solve. The iterate is carried as
+    d = sqrt(b/beta), exact where b underflows, and a piece as its ends
+    neg and pos in d, where r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is
+    <= 0 and > 0. As log(1+r) has slope phi in log d, the step is
+    d/(1+r)^(1/phi); one that leaves the bracket bisects it in log d
+    instead, as does one where (1+r)^(1/phi) under- or overflows far from
+    a root (the step is then inf or 0). A piece stays where it is while
+    |r| <= _residual_target(beta), its own target, and the solve stops
+    when all pieces meet theirs; returns d, K1, phi, r, neg and pos as
+    lists. The steps run on Python floats, as numpy's cost per call
+    outweighs the arithmetic on the few pieces of a solve (at most three
+    per beta), but the powers go through numpy, whose vector pow can
+    differ from libm's in the last bit. A piece still short of its target
     after 60 steps raises NumericsError with the piece's position as
     index."""
-    tol = _residual_target(beta)
-    d = np.clip(d, np.minimum(neg, pos), np.maximum(neg, pos))
+    tol = _residual_target(np.asarray(beta, dtype=float))
+    beta, neg, pos, d, tol = (np.asarray(x, dtype=float).tolist()
+                              for x in (beta, neg, pos, d, tol))
+    d = [min(max(x, min(lo, hi)), max(lo, hi)) for x, lo, hi in zip(d, neg, pos)]
+    scale = 1.0 + rho
     for _ in range(60):
-        b = beta * d * d
-        K0, K1, dK0 = _boundary_kernels(b, rho)
-        r = d * (1.0 + rho) * K0 - 1.0
-        phi = 1.0 + b * (2.0 * dK0) / K0
-        done = np.abs(r) <= tol
-        below = r <= 0
-        neg, pos = np.where(below, d, neg), np.where(below, pos, d)
-        if done.all():
+        b = [x * y * y for x, y in zip(beta, d)]
+        K0, dK0, K1 = (k.tolist() for k in _boundary_kernels(b, rho))
+        r = [x * scale * k - 1.0 for x, k in zip(d, K0)]
+        phi = [1.0 + x * (2.0 * k1) / k0 for x, k0, k1 in zip(b, K0, dK0)]
+        todo = []
+        for i, r_i in enumerate(r):
+            if r_i <= 0:
+                neg[i] = d[i]
+            else:
+                pos[i] = d[i]
+            if not abs(r_i) <= tol[i]:
+                todo.append(i)
+        if not todo:
             return d, K1, phi, r, neg, pos
+        # 1/phi is inf where phi = 0, and d over a power that underflows
+        # to 0 is inf, as on arrays
         with np.errstate(divide="ignore", over="ignore"):
-            step = d / (1.0 + r) ** (1.0 / phi)
-        inside = (step - neg) * (step - pos) < 0
-        d = np.where(done, d, np.where(inside, step, np.sqrt(neg * pos)))
+            power = np.power([1.0 + r[i] for i in todo], np.divide(1.0, [phi[i] for i in todo]))
+        for i, p in zip(todo, power.tolist()):
+            x = d[i] / p if p else math.inf
+            d[i] = x if (x - neg[i]) * (x - pos[i]) < 0 else math.sqrt(neg[i] * pos[i])
     exc = NumericsError("the roots did not reach the residual target")
-    exc.index = int(np.flatnonzero(~done)[0])
+    exc.index = todo[0]
     raise exc
 
 
@@ -377,48 +420,62 @@ def _branch_values(d, rho, beta, K1):
 
 def _pieces(rho, beta, b, B, phi, b_f, B_f):
     """The monotone pieces of B on [beta*(rho/(1+rho))^2, beta] that hold
-    a root of B(b) = beta, for an array of beta at one rho, from the fold
+    a root of B(b) = beta, for a list of beta at one rho, from the fold
     scan (b, B and phi at its nodes) and each beta's fold ends b_f with
-    their B values B_f, rows of four: each fold's cell nodes, or the
-    polished fold twice (None without folds). Returns each piece's
-    position in beta, its ends neg (r <= 0) and pos (r > 0) in d, and a
-    Newton start inside it, the pieces of each beta in increasing order.
-    """
-    col = beta[:, None]
-    b_min = col * (rho / (1.0 + rho)) ** 2
-    if b_f is None:
-        ends, B_ends = np.concatenate((b_min, col), axis=1), np.array([0.0, math.inf])
-    else:
-        ends = np.concatenate((b_min, b_f, col), axis=1)
-        B_ends = np.concatenate((np.zeros_like(col), B_f, np.full_like(col, math.inf)), axis=1)
-    # r <= 0 at b_min and r >= 0 at beta hold exactly (B_ends pins them),
-    # though where b is tiny r sits within rounding of zero at b_min; a
-    # piece whose ends lie on both sides of beta holds one root. A fold end
-    # outside [b_min, beta] ends no piece: it takes the side and the d of
-    # b_min or of beta, whichever it lies beyond
-    low, high = ends < b_min, ends > col
-    above = (B_ends > col) & ~low | high
-    d_ends = np.where(low, rho / (1.0 + rho), np.sqrt(np.minimum(ends, col) / col))
-    d_ends[:, 0], d_ends[high] = rho / (1.0 + rho), 1.0
-    row, i = np.nonzero(above[:, :-1] != above[:, 1:])
-    lo, hi, up = d_ends[row, i], d_ends[row, i + 1], above[row, i]
-    neg, pos = np.where(up, hi, lo), np.where(up, lo, hi)
-    # each piece starts on the tangent at its scan node with B nearest
-    # beta, where that lands inside the piece; else at its outer end,
-    # where Newton does not overshoot. At a subnormal beta, b/beta and
-    # B/beta overflow to inf at the nodes, and at a huge beta, beta/B
-    # does; the nodes then lie in no piece, and their tangent starts
-    # (inf, nan or 0) are not taken
-    beta_p = col[row]
+    their B values B_f, lists of four: each fold's cell nodes, or the
+    polished fold twice (None without folds). Returns lists of each
+    piece's position in beta, its ends neg (r <= 0) and pos (r > 0) in d,
+    and a Newton start inside it, the pieces of each beta in increasing
+    order.
+
+    r <= 0 at b_min and r >= 0 at beta hold exactly (B_ends pins them),
+    though where b is tiny r sits within rounding of zero at b_min; a
+    piece whose ends lie on both sides of beta holds one root. A fold end
+    outside [b_min, beta] ends no piece: it takes the side and the d of
+    b_min or of beta, whichever it lies beyond. Each piece starts on the
+    tangent at its scan node with B nearest beta, where that lands inside
+    the piece; else at its outer end, where Newton does not overshoot.
+    d = sqrt(b/beta) rises along the scan, so the nodes inside a piece are
+    a run, found by bisection. At a subnormal beta, b/beta and B/beta
+    overflow to inf at the nodes, and at a huge beta, beta/B does; the
+    nodes then lie in no piece, or their tangent starts (inf, nan or 0)
+    are not taken."""
+    d_min = rho / (1.0 + rho)
+    shrink = (rho / (1.0 + rho)) ** 2
+    col = np.array(beta)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        d_scan = np.sqrt(b / beta_p)
-        inside = (d_scan > lo[:, None]) & (d_scan < hi[:, None])
-        k = np.argmin(np.where(inside, np.abs(np.log(B / beta_p)), np.inf), axis=1)
-        piece = np.arange(k.size)
-        start = d_scan[piece, k] * (beta[row] / B[k]) ** (0.5 / phi[k])
-    start = np.where(inside[piece, k] & (lo < start) & (start < hi), start,
-                     np.where(lo == rho / (1.0 + rho), lo,
-                              np.where(hi == 1.0, hi, np.sqrt(lo * hi))))
+        d_scan = np.sqrt(b / col).tolist()
+        far = np.abs(np.log(B / col)).tolist()
+    row, neg, pos, start, ends_d, node = [], [], [], [], [], []
+    for j, x in enumerate(beta):
+        b_min = x * shrink
+        ends, B_ends = [b_min, x], [0.0, math.inf]
+        if b_f is not None:
+            ends[1:1], B_ends[1:1] = b_f[j], B_f[j]
+        above = [B_e > x and e >= b_min or e > x for e, B_e in zip(ends, B_ends)]
+        d_ends = [d_min] + [d_min if e < b_min else math.sqrt(min(e, x) / x) for e in ends[1:]]
+        for i in range(len(ends) - 1):
+            if above[i] != above[i + 1]:
+                lo, hi = d_ends[i], d_ends[i + 1]
+                row.append(j)
+                neg.append(hi if above[i] else lo)
+                pos.append(lo if above[i] else hi)
+                ends_d.append((lo, hi))
+                start.append(lo if lo == d_min else hi if hi == 1.0 else math.sqrt(lo * hi))
+                first = bisect.bisect_right(d_scan[j], lo)
+                near = far[j][first:bisect.bisect_left(d_scan[j], hi)]
+                node.append(first + near.index(min(near)) if near else None)
+    tangent = [i for i, k in enumerate(node) if k is not None]
+    if tangent:
+        k = [node[i] for i in tangent]
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.power([beta[row[i]] / x for i, x in zip(tangent, B[k].tolist())],
+                             0.5 / phi[k])
+        for i, p in zip(tangent, power.tolist()):
+            x = d_scan[row[i]][node[i]] * p
+            lo, hi = ends_d[i]
+            if lo < x < hi:
+                start[i] = x
     return row, neg, pos, start
 
 
@@ -429,9 +486,10 @@ def _row_roots(rho, betas, q=1):
     increasing order. The folds do not depend on beta, so the row makes
     one fold scan, polishes each fold at most once (only if some beta
     reaches the B values at the nodes of its scan cell), and refines the
-    roots of all beta in one Newton solve (_level_roots). A NumericsError
-    names its stage, rho, the beta at which it arose (the first beta of
-    the row for the scan, the first that needs it for the polish) and q."""
+    roots of all beta in one Newton solve (_level_roots); the polish
+    masks and the pieces are built on Python floats. A NumericsError names
+    its stage, rho, the beta at which it arose (the first beta of the row
+    for the scan, the first that needs it for the polish) and q."""
     betas = np.asarray(betas, dtype=float)
     live = (betas > 0).nonzero()[0]
     if not live.size:
@@ -441,29 +499,33 @@ def _row_roots(rho, betas, q=1):
         b, B, phi, cells = _folds(rho)
     b_f = B_f = None
     if cells is not None:
-        b_c, B_c = b[cells], B[cells]
         # r keeps one sign on a fold's cell where beta lies below the
         # node values of the hump or above those of the dip: the two
         # nodes then end the pieces on either side; else the polished
         # fold ends both. A cell outside [b_min, beta] ends no piece
-        col = beta_q[:, None]
-        polish = (b_c[:, 0] < col) & (b_c[:, 1] > col * (rho / (1.0 + rho)) ** 2) & np.array(
-            [beta_q >= B_c[0].min(), beta_q <= B_c[1].max()]).T
-        folds = polish.any(axis=0)
-        b_p, B_p = b_c.copy(), B_c.copy()
-        if folds.any():
-            first = live[polish.any(axis=1).nonzero()[0][0]]
-            with _stage("fold search", rho, betas[first], q):
-                x, B_x = _polish_folds(rho, b_c[folds], phi[cells[folds]])
-            b_p[folds], B_p[folds] = x[:, None], B_x[:, None]
-        own = polish[:, :, None]
-        b_f = np.where(own, b_p, b_c).reshape(-1, 4)
-        B_f = np.where(own, B_p, B_c).reshape(-1, 4)
-    row, neg, pos, start = _pieces(rho, beta_q, b, B, phi, b_f, B_f)
+        shrink = (rho / (1.0 + rho)) ** 2
+        (hump, dip), (B_hump, B_dip) = b[cells].tolist(), B[cells].tolist()
+        polish = [(hump[0] < x and hump[1] > x * shrink and x >= min(B_hump),
+                   dip[0] < x and dip[1] > x * shrink and x <= max(B_dip))
+                  for x in beta_q.tolist()]
+        folds = [any(own[f] for own in polish) for f in (0, 1)]
+        # per fold, the (b, B) ends of its cell, then those of the
+        # polished fold, picked by each beta's flag
+        ends = [[(hump, B_hump)] * 2, [(dip, B_dip)] * 2]
+        if any(folds):
+            # the folds that some beta reaches, polished once for the row
+            first = next(j for j, own in enumerate(polish) if any(own))
+            with _stage("fold search", rho, betas[live[first]], q):
+                x, B_x = _polish_folds(rho, b[cells[folds]], B[cells[folds]], phi[cells[folds]])
+            for f, x_f, B_xf in zip(np.flatnonzero(folds).tolist(), x.tolist(), B_x.tolist()):
+                ends[f][1] = [x_f, x_f], [B_xf, B_xf]
+        b_f = [ends[0][own[0]][0] + ends[1][own[1]][0] for own in polish]
+        B_f = [ends[0][own[0]][1] + ends[1][own[1]][1] for own in polish]
+    row, neg, pos, start = _pieces(rho, beta_q.tolist(), b, B, phi, b_f, B_f)
     owner = live[row]
     with _stage("root refinement", rho, betas[owner], q):
         d, K1, _, _, neg, pos = _level_roots(rho, beta_q[row], neg, pos, start)
-    return owner, d, neg, pos, K1
+    return owner, np.asarray(d), np.asarray(neg), np.asarray(pos), np.asarray(K1)
 
 
 def solve_h1(params):
@@ -556,7 +618,7 @@ def correction_integral(arg, rho):
     _check_rho(rho)
     if arg < 0:
         raise DomainError("correction_integral needs arg >= 0")
-    return float(_boundary_kernels(arg, rho)[1][0])
+    return float(_boundary_kernels(arg, rho)[2][0])
 
 
 def lambda_of_d(d, params):
@@ -572,7 +634,7 @@ def lambda_of_d(d, params):
         raise DomainError("lambda_of_d needs d in (0, 1)")
     rho, beta = params.rho, params.beta
     d = np.array([d])
-    return float(_branch_values(d, rho, beta, _boundary_kernels(beta * d * d, rho)[1])[0])
+    return float(_branch_values(d, rho, beta, _boundary_kernels(beta * d * d, rho)[2])[0])
 
 
 _TIE_RTOL = 5e-11

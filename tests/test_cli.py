@@ -24,6 +24,16 @@ GOLDEN_CASES = [
         "lyapunov_small.json",
         ["lyapunov", "--rho", "0.5", "--beta", "0,2", "--q", "1", "--format", "json"],
     ),
+    # one beta with three branches: no fold polished at (0.1, 5.7); at
+    # (0.05, 7.0048634834), just inside the window, the dip is polished
+    (
+        "lyapunov_fold.csv",
+        ["lyapunov", "--rho", "0.1", "--beta", "5.7", "--format", "csv"],
+    ),
+    (
+        "lyapunov_dip.csv",
+        ["lyapunov", "--rho", "0.05", "--beta", "7.0048634834", "--format", "csv"],
+    ),
     ("bigf_small.csv", ["bigf", "--rho", "0.5", "--points", "5", "--format", "csv"]),
     (
         "meanfield_small.csv",
@@ -235,10 +245,10 @@ def test_numerics_error_names_q(monkeypatch, capsys):
 
 
 def test_lyapunov_default_grid_kernel_calls(monkeypatch, capsys):
-    # one fold scan and one Newton solve per rho row, 31 calls in all; a
+    # one fold scan and one Newton solve per rho row, 26 calls in all; a
     # solve per (rho, beta) cell made 238 calls on this 4 x 9 grid
     codes = []
-    assert kernel_calls(monkeypatch, lambda: codes.append(main(["lyapunov"]))) <= 60
+    assert kernel_calls(monkeypatch, lambda: codes.append(main(["lyapunov"]))) <= 36
     assert codes == [0]
     capsys.readouterr()
 

@@ -123,11 +123,11 @@ KERNEL_REFERENCE = [
 @pytest.mark.parametrize("rho,b,k0,k1,dk0", KERNEL_REFERENCE)
 def test_boundary_kernels_match_mpmath(rho, b, k0, k1, dk0):
     got = _boundary_kernels(b, rho)
-    for value, ref in zip(got, (k0, k1, dk0)):
+    for value, ref in zip(got, (k0, dk0, k1)):
         assert value.shape == (1,)
         assert float(value[0]) == pytest.approx(ref, rel=1e-14)
     # an array call that includes b agrees with the scalar call
-    K0, K1, dK0 = _boundary_kernels([0.5 * b, b], rho)
+    K0, dK0, K1 = _boundary_kernels([0.5 * b, b], rho)
     assert K0[1] == pytest.approx(k0, rel=1e-14)
 
 
@@ -136,12 +136,12 @@ def test_second_derivative_row_matches_central_differences(b, rho):
     # the row is b^2*d^2K0/db^2; fourth-order central differences of
     # dK0/db, all in one call so that one panel rule serves every point
     h = 1e-3 * b
-    K0, K1, dK0, ddK0_b2 = _boundary_kernels(b + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), rho,
+    K0, dK0, K1, ddK0_b2 = _boundary_kernels(b + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), rho,
                                              rows=4)
     fd = (8.0 * (dK0[3] - dK0[1]) - (dK0[4] - dK0[0])) / (12.0 * h)
     assert ddK0_b2[2] / b ** 2 == pytest.approx(fd, rel=2e-10)
     # the other rows agree with a call without it to rounding
-    for with_row, without in zip((K0, K1, dK0), _boundary_kernels(b + h * np.array(
+    for with_row, without in zip((K0, dK0, K1), _boundary_kernels(b + h * np.array(
             [-2.0, -1.0, 0.0, 1.0, 2.0]), rho)):
         np.testing.assert_allclose(with_row, without, rtol=1e-15, atol=0.0)
 
@@ -149,17 +149,22 @@ def test_second_derivative_row_matches_central_differences(b, rho):
 @pytest.mark.parametrize("rho", [1e-300, 1e-8, 0.1232, 2.0])
 def test_boundary_kernels_leading_rows(rho):
     # rows=1 is K0 alone, which stays in range where dK0/db overflows
-    # (rho below about 1e-154); elsewhere each count of rows agrees with
-    # the others to rounding
+    # (rho below about 1e-154); elsewhere each count of rows gives the
+    # leading rows of K0, dK0/db, K1, b^2*K0'' to rounding
     b = np.array([0.0, rho, 0.5, 3.0, 40.0])
     (K0,) = _boundary_kernels(b, rho, rows=1)
     assert np.all(np.isfinite(K0)) and K0[0] == pytest.approx(1.0 / rho, rel=1e-15)
     if rho < 1e-154:
         return
-    for rows in (3, 4):
+    want = (K0,) + _boundary_kernels(b, rho, rows=4)[1:]
+    # at b = 0: dK0/db = -(2/3)/rho^2 and K1 = (1/3)/rho
+    assert (want[1][0], want[2][0]) == pytest.approx((-2.0 / (3.0 * rho * rho), 1.0 / (3.0 * rho)),
+                                                     rel=1e-14)
+    for rows in (2, 3, 4):
         got = _boundary_kernels(b, rho, rows=rows)
         assert len(got) == rows
-        np.testing.assert_allclose(got[0], K0, rtol=1e-15, atol=0.0)
+        for row, ref in zip(got, want):
+            np.testing.assert_allclose(row, ref, rtol=1e-15, atol=0.0)
 
 
 def _boundary_kernels_uncached(b, rho):
@@ -190,7 +195,7 @@ def _boundary_kernels_uncached(b, rho):
     slope *= inv
     vals = (buf.reshape(-1, n) @ weights).reshape(b.size, 3, 2)
     vals[:, 2] *= -1.0
-    return vals[:, 0, 0], vals[:, 1, 0], vals[:, 2, 0]
+    return vals[:, 0, 0], vals[:, 2, 0], vals[:, 1, 0]
 
 
 def test_boundary_kernels_cached_rule_is_bit_identical():

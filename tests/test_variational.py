@@ -9,7 +9,7 @@ from scipy import integrate as sp_integrate
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from conftest import WINDOW_EDGES
+from conftest import WINDOW_EDGES, kernel_calls
 from lyaprec import variational
 from lyaprec.errors import AccuracyError, DomainError, NumericsError, _stage
 from lyaprec.meanfield import mf_beta_level, mf_lambda
@@ -24,6 +24,7 @@ from lyaprec.variational import (
     Branch,
     ModelParams,
     _folds,
+    _polish_folds,
     big_F,
     big_F_scan,
     correction_integral,
@@ -254,6 +255,42 @@ def test_fold_window_exactly_below_rho_c(k):
     # finds; above it the zoom shows that there is none
     assert _folds(RHO_C * (1.0 - 10.0 ** -k))[3] is not None
     assert _folds(RHO_C * (1.0 + 10.0 ** -k))[3] is None
+
+
+@pytest.mark.parametrize("rho,most", [
+    (0.02, 3), (0.05, 3), (0.1, 3), (RHO_C * (1.0 - 5e-3), 4), (RHO_C * (1.0 - 1e-6), 4)])
+def test_fold_polish_kernel_calls(monkeypatch, rho, most):
+    # each fold starts where the cubic Hermite of log B across its scan
+    # cell is flat, so Newton on phi needs one or two steps even near
+    # rho_c, where phi is near its minimum across the cell
+    b, B, phi, cells = _folds(rho)
+    x, B_x = [], []
+
+    def polish():
+        x[:], B_x[:] = _polish_folds(rho, b[cells], B[cells], phi[cells])
+
+    assert kernel_calls(monkeypatch, polish) <= most
+    # both folds are zeros of phi, between their scan nodes
+    K0, dK0 = _boundary_kernels(np.array(x), rho, rows=2)
+    assert np.all(np.abs(1.0 + 2.0 * np.array(x) * dK0 / K0) <= 2e-12)
+    assert np.all((b[cells[:, 0]] <= x) & (x <= b[cells[:, 1]]))
+
+
+def test_one_beta_kernel_calls(monkeypatch):
+    # one fold scan for K0 and dK0/db alone, then three-row root-solve
+    # steps for all three branches; beta reaches no fold's scan cell, so
+    # nothing is polished
+    asked = []
+    kernels = variational._boundary_kernels
+
+    def counted(b, rho, rows=3):
+        asked.append(rows)
+        return kernels(b, rho, rows=rows)
+
+    monkeypatch.setattr(variational, "_boundary_kernels", counted)
+    lyapunov(ModelParams(0.1, 5.7))
+    assert asked[0] == 2 and len(asked) <= 5
+    assert set(asked[1:]) == {3}
 
 
 def test_fold_cells_bracket_sign_changes():
@@ -531,7 +568,7 @@ def test_row_matches_scalar_solves():
                 # |r|/|phi| in log d inside the residual target
                 d = np.array([x.d, y.d])
                 b = beta * d * d
-                K0, _, dK0 = _boundary_kernels(b, rho)
+                K0, dK0, _ = _boundary_kernels(b, rho)
                 target = variational._residual_target(beta) + 4.0 * eps
                 assert np.all(np.abs(d * (1.0 + rho) * K0 - 1.0) <= target), (rho, beta)
                 phi = 1.0 + 2.0 * b[1] * dK0[1] / K0[1]
