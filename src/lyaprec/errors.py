@@ -61,10 +61,12 @@ class NumericsError(RuntimeError):
 
 
 class AccuracyError(NumericsError):
-    """Adaptive quadrature could not meet the requested tolerance.
+    """The boundary kernel's 15-point Gauss-Kronrod rule and its embedded
+    7-point Gauss check disagree by more than 1e-6 relative.
 
-    Carries the best available estimate and its error bound so callers
-    can decide whether the partial answer is still usable.
+    Carries the Kronrod value as the best available estimate and the
+    difference of the two rules as its error bound, so callers can
+    decide whether the partial answer is still usable.
     """
 
     def __init__(self, message: str, best_estimate: float, error_bound: float):

@@ -1,14 +1,12 @@
 """Shared numerical kernels.
 
-Five families of tools live here: adaptive panel quadrature with an
-exact substitution for integrands that blow up like 1/sqrt(y) at the
-left endpoint, a fixed graded rule for the kernel family of the
-boundary equation (the one rule behind big_F, big_F_scan and every
-solver, which ask it for K0 alone, for K0 and dK0/db, for those and
-K1, or for all three and b^2*d^2K0/db^2), real polylogarithms of order
-2 and 3, a bisection on a predicate down to a relative width, and the
-logistic family: softplus, its inverse and differences, expit, and a
-log-sum-exp.
+Four families of tools live here: a fixed graded rule for the kernel
+family of the boundary equation (the one rule behind big_F, big_F_scan,
+correction_integral and every solver, which ask it for K0 alone, for K0
+and dK0/db, for those and K1, or for all three and b^2*d^2K0/db^2), real
+polylogarithms of order 2 and 3, a bisection on a predicate down to a
+relative width, and the logistic family: softplus, its inverse and
+differences, expit, and a log-sum-exp.
 The package needs no SciPy for any of them. Every quadrature, the
 profile rebuild on the kernel's panels included, runs on one 15-point
 Gauss-Kronrod table, whose 7 Gauss nodes and weights are
@@ -23,26 +21,17 @@ cache of boundary-kernel panel rules, one per panel count; its arrays
 are built whole before they are published and are read-only, and the
 cache itself is thread-safe, so concurrent use is safe. A race can only
 build the same rule twice.
-
-Integrands passed to the quadrature routines must accept numpy arrays
-and return an array of the same shape.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, EvaluationError, NumericsError
+from .errors import AccuracyError, DomainError, NumericsError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
-    "ACCURATE_QUADRATURE",
-    "integrate_adaptive",
-    "integrate_inverse_sqrt_singularity",
     "polylog",
     "softplus",
     "inverse_softplus",
@@ -75,110 +64,6 @@ _G7_WEIGHTS[1::2] = _WEIGHTS7
 
 _ZETA3 = 1.2020569031595942854
 _PI2_6 = math.pi ** 2 / 6.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance budget for the adaptive integrators."""
-
-    relative_tolerance: float = 1e-9
-    absolute_tolerance: float = 1e-12
-    max_subdivisions: int = 50
-
-    def __post_init__(self):
-        if not (self.relative_tolerance > 0 and self.absolute_tolerance > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-# tighter budget used internally where root residuals at 1e-10 are needed
-ACCURATE_QUADRATURE = QuadratureSpec(1e-12, 1e-14, 60)
-
-
-def integrate_adaptive(f, lo, hi, spec=None):
-    """Integrate a smooth vectorized integrand over [lo, hi].
-
-    Each panel is estimated with the 15-point Gauss-Kronrod rule, and its
-    difference from the 7-point Gauss rule on the same nodes is the local
-    error, so f is called once per round. Panels whose error
-    exceeds their width-proportional share of the global tolerance are
-    halved, up to spec.max_subdivisions rounds of splitting. Nodes are
-    strictly interior, so endpoint values of f are never requested.
-    """
-    spec = spec or DEFAULT_QUADRATURE
-    if hi == lo:
-        return 0.0
-    if hi < lo:
-        raise DomainError("integrate_adaptive needs lo <= hi")
-    width = hi - lo
-    los = np.array([lo], dtype=float)
-    his = np.array([hi], dtype=float)
-    done_sum = 0.0
-    done_err = 0.0
-    for _ in range(spec.max_subdivisions):
-        mid = 0.5 * (los + his)
-        half = 0.5 * (his - los)
-        x = mid[:, None] + half[:, None] * _K15_NODES
-        y = np.asarray(f(x), dtype=float)
-        if not np.isfinite(y).all():
-            at = float(x[tuple(np.argwhere(~np.isfinite(y))[0])])
-            raise EvaluationError("integrand returned a non-finite value at x=%r" % at,
-                                  abscissa=at)
-        i7 = half * (y * _G7_WEIGHTS).sum(axis=1)
-        i15 = half * (y * _K15_WEIGHTS).sum(axis=1)
-        err = np.abs(i15 - i7)
-        total = done_sum + i15.sum()
-        tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
-        # global stopping rule: without it, panels near a steep feature
-        # stall at the abscissa-rounding noise floor while their
-        # width-proportional share keeps shrinking, and the bad set
-        # doubles every round
-        if done_err + err.sum() <= tol:
-            return float(total)
-        ok = err <= tol * (2.0 * half) / width
-        done_sum += i15[ok].sum()
-        done_err += err[ok].sum()
-        if ok.all():
-            return done_sum
-        rem_sum = i15[~ok].sum()
-        rem_err = err[~ok].sum()
-        mid_bad = mid[~ok]
-        lo_bad = los[~ok]
-        hi_bad = his[~ok]
-        los = np.concatenate([lo_bad, mid_bad])
-        his = np.concatenate([mid_bad, hi_bad])
-        if los.size > 32768:
-            raise AccuracyError(
-                "adaptive quadrature exceeded the panel budget",
-                best_estimate=done_sum + rem_sum,
-                error_bound=done_err + rem_err,
-            )
-    raise AccuracyError(
-        "adaptive quadrature did not converge within %d subdivision rounds"
-        % spec.max_subdivisions,
-        best_estimate=done_sum + rem_sum,
-        error_bound=done_err + rem_err,
-    )
-
-
-def integrate_inverse_sqrt_singularity(f, U, spec=None):
-    """Integral of f over (0, U] where f(y)*sqrt(y) stays bounded.
-
-    The substitution u = sqrt(y) turns the 1/sqrt(y) endpoint blowup
-    into a smooth integrand 2*u*f(u^2), which then goes through the
-    adaptive panel scheme. U = 0 gives 0.
-    """
-    if U < 0:
-        raise DomainError("upper limit must be nonnegative")
-    if U == 0:
-        return 0.0
-
-    def transformed(u):
-        return 2.0 * u * f(u * u)
-
-    return integrate_adaptive(transformed, 0.0, math.sqrt(U), spec)
 
 
 # One panel of the boundary-kernel rule: the K15 nodes on [0, 1] (the first

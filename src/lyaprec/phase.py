@@ -78,8 +78,11 @@ class CriticalPoint:
 
     candidates lists every boundary logit where the slope of the
     beta-level function touches zero at rho_c; uniqueness is observed
-    numerically, not assumed, so the full list is kept (a_c is its
-    first entry in all observed runs).
+    numerically, not assumed, so the full list is kept. Its entries come
+    from a Brent search on a separate slope scan at rho_c, not from the
+    Newton polish that gives a_c, so an entry can differ from a_c by
+    about 1e-7; a_c joins the list only where it lies more than 1e-6
+    from every entry.
     """
 
     rho_c: float

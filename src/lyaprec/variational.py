@@ -31,8 +31,9 @@ scan and the polish and solves the roots of every beta in the same
 Newton iteration; the phase module traces the first-order curve on the
 same operations. The masks, pieces and Newton steps of a solve run on
 Python floats, as a beta has at most three pieces, so a one-beta row
-costs little beyond its kernel calls. The route through the boundary
-logit, lambda_of_h1, stays as a check.
+costs little beyond its kernel calls. lambda_of_h1 and lambda_of_d give
+the branch value of a boundary logit or of a mean occupation on the same
+K1 kernel.
 
 Everything downstream (phase structure, jump fits, simulators) builds
 on the operations here.
@@ -47,14 +48,11 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, NumericsError, _check_q1, _check_rho, _stage
 from .numerics import (
-    ACCURATE_QUADRATURE,
     _KERNEL_FIRST,
     _KERNEL_WEIGHTS,
     _boundary_kernels,
     _kernel_doublings,
     expit,
-    integrate_adaptive,
-    integrate_inverse_sqrt_singularity,
     inverse_softplus,
     softplus,
     softplus_diff,
@@ -170,11 +168,11 @@ def big_F(a, rho):
     (1+e^a) / ((1+e^a-e^y) * sqrt(y)) with L = log((1+e^a)/(1+rho)), and
     computed as the one-point big_F_scan, so the two agree at every rho.
     The integrand exceeds 1/sqrt(y) pointwise, so big_F(a) >= 2*sqrt(L)
-    always. An a below log(rho) raises DomainError.
+    always. An a below log(rho), or not finite, raises DomainError.
     """
     _check_rho(rho)
-    if a < math.log(rho):
-        raise DomainError("big_F needs a >= log(rho)")
+    if not math.log(rho) <= a < math.inf:
+        raise DomainError("big_F needs a finite a >= log(rho)")
     return float(big_F_scan(a, rho)[0])
 
 
@@ -563,45 +561,37 @@ def lambda_of_h1(h1, params):
     log(1+e^{h1}) - beta^{-1/2} * integral over x in [log rho, h1] of
     sqrt(log((1+e^{h1})/(1+e^x))).
 
-    The integrand has a square-root zero at x = h1; flipping to
-    w = h1 - x puts that at the origin where the quadrature
-    substitution flattens it. For h1 > 40 the integrand is sqrt(w) to
-    machine precision wherever x > 40, and the K15/G7 check, exact
-    there, can pass a panel that hides the softplus knee at x = 0; the
-    point x = 40, w = h1 - 40, is then a breakpoint.
+    The substitution log((1+e^{h1})/(1+e^x)) = b*(1 - u^2), with
+    b = log((1+e^{h1})/(1+rho)), turns the integral into
+    2*b^(3/2)*(1+rho)*K1(b), so the value is
+    softplus(h1) - 2*(1+rho)*b*sqrt(b/beta)*correction_integral(b, rho),
+    the K1 kernel of lambda_of_d at b = beta*d^2. h1 must be finite and
+    at least log(rho).
     """
     _check_q1(params)
     if not params.beta > 0:
         raise DomainError("lambda_of_h1 needs beta > 0")
-    lr = math.log(params.rho)
-    if h1 < lr:
-        raise DomainError("lambda_of_h1 needs h1 >= log(rho)")
+    rho, lr = params.rho, math.log(params.rho)
+    if not lr <= h1 < math.inf:
+        raise DomainError("lambda_of_h1 needs a finite h1 >= log(rho)")
     top = float(softplus(h1))
-    W = h1 - lr
-    if W == 0.0:
+    b = float(softplus_diff(h1, lr))
+    if b == 0.0:
         return top
-
-    def g(w):
-        return np.sqrt(softplus_diff(h1, h1 - w))
-
-    cut = h1 - 40.0
-    if cut > 0.0:
-        integral = (integrate_inverse_sqrt_singularity(g, cut, ACCURATE_QUADRATURE)
-                    + integrate_adaptive(g, cut, W, ACCURATE_QUADRATURE))
-    else:
-        integral = integrate_inverse_sqrt_singularity(g, W, ACCURATE_QUADRATURE)
-    return top - integral / math.sqrt(params.beta)
+    # sqrt(b)/sqrt(beta), not sqrt(b/beta), which overflows at a subnormal beta
+    scale = b * math.sqrt(b) / math.sqrt(params.beta)
+    return top - 2.0 * (1.0 + rho) * scale * correction_integral(b, rho)
 
 
 def d_of_h1(h1, params):
     """Mean occupation of the branch with boundary logit h1:
-    sqrt(log((1+e^{h1})/(1+rho)) / beta)."""
+    sqrt(log((1+e^{h1})/(1+rho)) / beta), for a finite h1 >= log(rho)."""
     _check_q1(params)
     if not params.beta > 0:
         raise DomainError("d_of_h1 needs beta > 0")
     lr = math.log(params.rho)
-    if h1 < lr:
-        raise DomainError("d_of_h1 needs h1 >= log(rho)")
+    if not lr <= h1 < math.inf:
+        raise DomainError("d_of_h1 needs a finite h1 >= log(rho)")
     L = float(softplus_diff(h1, lr))
     return math.sqrt(max(L, 0.0) / params.beta)
 
@@ -613,11 +603,12 @@ def correction_integral(arg, rho):
     This is the cubic-order correction in the mean-parameterized branch
     value; its denominator stays >= rho on the whole interval. The
     large-arg behavior is pinned between closed polylog bounds (see the
-    asymptotics checks in the phase module).
+    asymptotics checks in the phase module). arg must be finite and
+    nonnegative.
     """
     _check_rho(rho)
-    if arg < 0:
-        raise DomainError("correction_integral needs arg >= 0")
+    if not 0 <= arg < math.inf:
+        raise DomainError("correction_integral needs a finite arg >= 0")
     return float(_boundary_kernels(arg, rho)[2][0])
 
 
@@ -625,9 +616,8 @@ def lambda_of_d(d, params):
     """Branch value as a function of the mean occupation d in (0, 1):
     beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3 * correction_integral(beta*d^2).
 
-    Mathematically identical to lambda_of_h1 composed with the d <-> h1
-    map, but computed through an unrelated integral; the two routes
-    agreeing is a strong mutual consistency check.
+    lambda_of_h1 composed with the d <-> h1 map, on the same K1 kernel;
+    the two differ by rounding only.
     """
     _check_q1(params)
     if not (0.0 < d < 1.0):

@@ -8,102 +8,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
-from scipy.special import erfi, zeta
+from scipy.special import zeta
 
 from lyaprec import numerics
-from lyaprec.errors import AccuracyError, DomainError, EvaluationError
+from lyaprec.errors import DomainError
 from lyaprec.numerics import (
-    QuadratureSpec,
     _boundary_kernels,
     _kernel_rule,
     _logsumexp,
     expit,
-    integrate_adaptive,
-    integrate_inverse_sqrt_singularity,
     inverse_softplus,
     polylog,
     softplus,
     softplus_diff,
 )
 from lyaprec.variational import entropy_I
-
-
-def test_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(relative_tolerance=-1e-9)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=0)
-
-
-def test_adaptive_polynomial():
-    got = integrate_adaptive(lambda x: 3.0 * x ** 2 - 2.0 * x + 1.0, -1.0, 2.0)
-    assert got == pytest.approx(9.0, abs=1e-12)
-
-
-def test_adaptive_smooth_reference():
-    got = integrate_adaptive(np.exp, 0.0, 1.0)
-    assert got == pytest.approx(math.e - 1.0, rel=1e-12)
-
-
-def test_adaptive_one_integrand_call_per_round():
-    # the 7-point check reuses the Gauss nodes inside the 15 Kronrod nodes
-    shapes = []
-
-    def f(x):
-        shapes.append(x.shape)
-        return np.exp(x)
-
-    assert integrate_adaptive(f, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
-    assert shapes == [(1, 15)]
-
-
-def test_adaptive_degenerate_interval():
-    assert integrate_adaptive(np.exp, 2.0, 2.0) == 0.0
-
-
-def test_adaptive_reports_failure():
-    spec = QuadratureSpec(1e-15, 1e-300, 1)
-    with pytest.raises(AccuracyError) as exc:
-        integrate_adaptive(lambda x: np.sin(40.0 * x), 0.0, 10.0, spec=spec)
-    assert math.isfinite(exc.value.best_estimate)
-    assert exc.value.error_bound > 0.0
-
-
-def test_adaptive_panel_budget():
-    # unresolvable oscillation: panels keep failing their share until the
-    # global panel cap trips
-    spec = QuadratureSpec(1e-13, 1e-300, 60)
-    with pytest.raises(AccuracyError) as exc:
-        integrate_adaptive(lambda x: np.sin(1e8 * x), 0.0, 10.0, spec=spec)
-    assert "panel budget" in str(exc.value)
-
-
-def test_adaptive_bad_abscissa():
-    with pytest.raises(EvaluationError):
-        integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
-
-
-def test_sqrt_singularity_power_laws():
-    # integral of y^(k-1/2) over [0, U] has the closed form U^(k+1/2)/(k+1/2)
-    for k in range(5):
-        got = integrate_inverse_sqrt_singularity(
-            lambda y, k=k: y ** (k - 0.5), 2.0
-        )
-        assert got == pytest.approx(2.0 ** (k + 0.5) / (k + 0.5), rel=1e-12)
-
-
-def test_sqrt_singularity_erfi_reference():
-    got = integrate_inverse_sqrt_singularity(
-        lambda y: np.exp(y) / np.sqrt(y), 2.0
-    )
-    want = math.sqrt(math.pi) * float(erfi(math.sqrt(2.0)))
-    assert got == pytest.approx(want, rel=1e-11)
-
-
-def test_sqrt_singularity_edges():
-    assert integrate_inverse_sqrt_singularity(lambda y: 1.0 / np.sqrt(y), 0.0) == 0.0
-    with pytest.raises(DomainError):
-        integrate_inverse_sqrt_singularity(lambda y: y, -1.0)
 
 
 # (rho, b, K0, K1, dK0/db) from 50-digit mpmath quadrature of the u form,

@@ -164,20 +164,28 @@ def test_exact_rate_approaches_lambda_from_below():
 
 
 # (rho, beta_cr) on the first-order curve; each q*beta sits 20% below or
-# above it. Worst measured gap of the Richardson value: 3.9e-8 below the
-# curve, 2.6e-5 above it (absolute), where the 1/n^2 term is larger.
+# above it. rate(n) = lambda + c1/n + c2/n^2 + ...: the two-point value
+# (4 r(1600) - r(400))/3 removes c1 and is held to tol, the three-point
+# value (8 r(1600) - 6 r(800) + r(400))/3 removes c2 too and is held to
+# _RICHARDSON3_TOL. Worst measured gaps (absolute): two-point 3.9e-8
+# below the curve and 2.6e-5 above it, where c2 is larger; three-point
+# 2.0e-10 below and 3.6e-8 above.
+_RICHARDSON3_TOL = {"low": 1e-9, "high": 1e-7}
+
+
 @pytest.mark.parametrize("side,factor,tol", [("low", 0.8, 1e-7), ("high", 1.2, 5e-5)])
 @pytest.mark.parametrize("rho,beta_cr", [(0.04, 8.1754193702), (0.05, 7.5668145803)])
 def test_richardson_recursion_matches_lyapunov_q(rho, beta_cr, side, factor, tol):
     for q in (1, 2, 3):
         beta = factor * beta_cr / q
-
-        def rate(n):
-            return exact_moment(SimSpec.from_beta(n, rho, beta, q=q)).log_moment / n
-
-        extrapolated = (4.0 * rate(1600) - rate(400)) / 3.0
+        r400, r800, r1600 = (
+            exact_moment(SimSpec.from_beta(n, rho, beta, q=q)).log_moment / n
+            for n in (400, 800, 1600))
         want = lyapunov_q(ModelParams(rho, beta, q))
-        assert abs(extrapolated - want) <= tol, (side, q)
+        two_point = (4.0 * r1600 - r400) / 3.0
+        three_point = (8.0 * r1600 - 6.0 * r800 + r400) / 3.0
+        assert abs(two_point - want) <= tol, (side, q)
+        assert abs(three_point - want) <= _RICHARDSON3_TOL[side], (side, q)
 
 
 def test_exact_budget_and_noise_rejection():

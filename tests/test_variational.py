@@ -184,6 +184,20 @@ def test_correction_integral_at_zero():
         )
 
 
+# a nan would pass the order checks of each argument unseen, and an inf
+# would reach the kernel
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: d_of_h1(x, ModelParams(0.1, 5.0)),
+    lambda x: lambda_of_h1(x, ModelParams(0.1, 5.0)),
+    lambda x: big_F(x, 0.1),
+    lambda x: correction_integral(x, 0.1),
+], ids=["d_of_h1", "lambda_of_h1", "big_F", "correction_integral"])
+def test_non_finite_arguments_raise(call, x):
+    with pytest.raises(DomainError, match="finite"):
+        call(x)
+
+
 def test_solve_h1_counts_and_residuals(mini_curve):
     p = mini_curve[1]
     params = ModelParams(p.rho, p.beta_cr)
@@ -439,18 +453,42 @@ def test_subnormal_beta_solves_without_warnings(rho, beta, lam):
         assert lyapunov(ModelParams(rho, beta)).lambda_ == lam
 
 
+def _logit_route_mpmath(h1, rho, beta, dps=30):
+    # log(1+e^h1) - beta^(-1/2) * integral over x in [log rho, h1] of
+    # sqrt(log((1+e^h1)/(1+e^x))), taken in w = h1 - x, where the
+    # integrand is sqrt(log1p(expm1(w)/(1+e^(w-h1)))) with its square-root
+    # zero at w = 0 and the softplus knee (x = 0) at w = h1. Tanh-sinh
+    # stops at degree 5, with about two thirds of the integrand calls of
+    # the full 30-digit run, and its error estimate is held below 1e-20
+    # relative
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        h1 = mp.mpf(h1)
+        W = h1 - mp.log(mp.mpf(rho))
+        ends = [0, h1, W] if 0 < h1 < W else [0, W]
+        integral, err = mp.quad(
+            lambda w: mp.sqrt(mp.log1p(mp.expm1(w) / (1 + mp.exp(w - h1)))),
+            ends, maxdegree=5, error=True)
+        assert err <= 1e-20 * integral
+        return float(mp.log1p(mp.exp(h1)) - integral / mp.sqrt(mp.mpf(beta)))
+
+
 @pytest.mark.parametrize("beta_max", [60.0, 2000.0])
 def test_selected_value_matches_logit_route(beta_max):
-    # the branch value through K1 against the adaptive route in the
-    # boundary logit, which shares no quadrature with it
+    # every branch value, and lambda_of_h1 at the branch's logit, against
+    # the logit route in 30-digit mpmath, which shares no quadrature with
+    # the K1 kernel of both; worst measured 3.3e-15 relative to
+    # max(1, |lambda|), where lambda is a small difference of two values
+    # near h1
     rng = np.random.default_rng(2015)
-    for _ in range(200):
-        rho = math.exp(rng.uniform(math.log(1e-3), math.log(0.5)))
+    for _ in range(20):
+        rho = math.exp(rng.uniform(math.log(1e-12), math.log(3.0)))
         params = ModelParams(rho, rng.uniform(0.0, beta_max))
-        res = lyapunov(params)
-        assert lambda_of_h1(res.selected.h1, params) == pytest.approx(
-            res.lambda_, rel=1e-9, abs=1e-9
-        )
+        for branch in lyapunov(params).all_branches:
+            want = _logit_route_mpmath(branch.h1, rho, params.beta)
+            tol = 1e-13 * max(1.0, abs(want))
+            assert abs(branch.lambda_value - want) <= tol, (rho, params.beta, branch)
+            assert abs(lambda_of_h1(branch.h1, params) - want) <= tol, (rho, params.beta, branch)
 
 
 def test_logit_route_at_large_beta():
@@ -463,6 +501,16 @@ def test_logit_route_at_large_beta():
     assert lambda_of_h1(res.selected.h1, params) == pytest.approx(
         605.940799099491067, rel=1e-14
     )
+
+
+# 30-digit mpmath of the logit route: at a subnormal beta, b/beta
+# overflows while b^(3/2)/sqrt(beta) does not
+@pytest.mark.parametrize("rho,beta,h1,want", [
+    (3.0, 1e-310, 2.0, -5.25177782184348939569901906518e+154),
+    (0.5, 5e-324, 1.0, -5.18653976794422056698888011866e+161),
+])
+def test_logit_route_at_subnormal_beta(rho, beta, h1, want):
+    assert lambda_of_h1(h1, ModelParams(rho, beta)) == pytest.approx(want, rel=1e-14)
 
 
 def _raise_on_call(exc):
