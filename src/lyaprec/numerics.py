@@ -3,10 +3,11 @@
 Four families of tools live here: a fixed graded rule for the kernel
 family of the boundary equation (the one rule behind big_F, big_F_scan,
 correction_integral and every solver, which ask it for K0 alone, for K0
-and dK0/db, for those and K1, or for all three and b^2*d^2K0/db^2), real
-polylogarithms of order 2 and 3, a bisection on a predicate down to a
-relative width, and the logistic family: softplus, its inverse and
-differences, expit, and a log-sum-exp.
+and dK0/db, for those and K1, or for all three and b^2*d^2K0/db^2, and
+which gives K1(b2) - K1(b1) node by node), real polylogarithms of order
+2 and 3, a bisection on a predicate down to a relative width, and the
+logistic family: softplus, its inverse and differences, expit, and a
+log-sum-exp.
 The package needs no SciPy for any of them. Every quadrature, the
 profile rebuild on the kernel's panels included, runs on one 15-point
 Gauss-Kronrod table, whose 7 Gauss nodes and weights are
@@ -207,6 +208,25 @@ def _boundary_kernels(b, rho, rows=3):
             exc.index = int(i[0])
             raise exc
     return tuple(fine[:, i] for i in at[:rows])
+
+
+def _k1_difference(rho, b1, b2, step):
+    """K1(b2) - K1(b1) for b1 < b2 on the rule of a _boundary_kernels call
+    at (b1, b2), with step the exact b2 - b1 (b1 and b2 may carry their
+    own rounding): node by node, D1 - D2 = E1*expm1(-step*w) and
+    1/D2 - 1/D1 = (D1 - D2)/(D1*D2), a sum of terms of one sign, so the
+    difference keeps its digits where b2 - b1 is small against b, as near
+    the critical point, instead of the rounding of K1 itself."""
+    neg_w, u2, weights = _kernel_rule(_kernel_doublings(b2, rho))
+    e1 = np.expm1(b1 * neg_w)
+    drop = np.expm1(step * neg_w)
+    drop *= e1 + 1.0
+    d1 = rho - e1
+    d2 = d1 - drop
+    drop *= u2
+    drop /= d1
+    drop /= d2
+    return float((drop @ weights)[0])
 
 
 def _power_series(z, p):

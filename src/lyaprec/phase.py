@@ -24,6 +24,7 @@ from .numerics import (
     _NODES7,
     _WEIGHTS7,
     _bisect,
+    _k1_difference,
     expit,
     inverse_softplus,
     polylog,
@@ -32,8 +33,10 @@ from .variational import (
     ModelParams,
     _folds,
     _hermite,
+    _level_at,
     _level_roots,
     _polish_folds,
+    _residual_target,
     big_F_scan,
     correction_integral,
     d_of_h1,
@@ -343,7 +346,7 @@ def mf_trace(betas):
     return points
 
 
-def _equal_area_start(b, B, phi, b_f, B_f):
+def _equal_area_start(rho, b, B, phi, b_f, B_f):
     """A first beta_cr by Maxwell's equal-area rule on the fold scan, with
     no kernel call, and the two outer roots there as occupations
     d = sqrt(b/beta); the window's midpoint and its roots where the rule
@@ -354,13 +357,17 @@ def _equal_area_start(b, B, phi, b_f, B_f):
     sqrt(beta) - sqrt(B(s))), with b1 and b2 the low and high roots of
     B(b) = beta, as d/db (2*b^(3/2)*K1(b)) = sqrt(b)*K0(b). Here log B is
     the cubic Hermite in log b through the scan nodes (b, B) and the
-    polished folds (b_f, B_f), with slope phi (0 at a fold), continued on
-    the end tangents beyond the scan. b1 and b2 invert it on the outer
-    monotone pieces, below the hump and above the dip. The area G(beta)
-    rises with beta at the rate (b2 - b1)/(2*sqrt(beta)); from the chord of
-    G over the window (B_f[1], B_f[0]), safeguarded Newton finds its zero.
-    The roots are good starts for the root solve: they follow the scan's
-    curvature near a fold, where a tangent at one node overshoots."""
+    polished folds (b_f, B_f), with slope phi (0 at a fold). Beyond the
+    scan, sqrt(B/b) = (1+rho)*K0 follows its limits, (1+rho)/rho as b -> 0
+    and 1 as b -> inf, as S + p*x + q*x^2 in x = b/b_0 below the first node
+    and x = b_n/b above the last, with S the limit and p and q matching B
+    and phi at the end node: its area is closed-form and its root takes a
+    few Newton steps in log b. b1 and b2 invert B on the outer monotone
+    pieces, below the hump and above the dip. The area G(beta) rises with
+    beta at the rate (b2 - b1)/(2*sqrt(beta)); from the chord of G over the
+    window (B_f[1], B_f[0]), safeguarded Newton finds its zero. Returns the
+    beta of the last evaluation of G and the roots there, which follow the
+    scan's curvature near a fold, where a tangent at one node overshoots."""
     # the folds join the nodes (a fold on a node leaves a cell of width 0,
     # which no root or area uses)
     k = np.searchsorted(b, b_f).tolist()
@@ -382,17 +389,44 @@ def _equal_area_start(b, B, phi, b_f, B_f):
     t, y, m, h, s0, c2, c3 = (a.tolist() for a in (t, y, m, h, s0, c2, c3))
     gauss = list(zip(u.tolist(), _WEIGHTS7.tolist()))
 
+    def asymptote(node, sign, limit):
+        # sqrt(B/b) = limit + p*x + q*x^2 past the node, x = (b/b_node)^sign,
+        # as coefficients over its value there: its value and log slope
+        # (phi - 1)/2 match the node's
+        S = math.exp(0.5 * (y[node] - t[node]))
+        q = 0.5 * sign * (m[node] - 1.0) - (1.0 - limit / S)
+        return node, sign, (limit / S, 1.0 - limit / S - q, q)
+
+    ends = asymptote(0, 1.0, (1.0 + rho) / rho), asymptote(last, -1.0, 1.0)
+
+    def beyond(Y, node, sign, c):
+        # log b where B is e^Y past the scan end node, and the area up to
+        # there: the integral of sqrt(B) = sqrt(B_node*b_node)*sum over j of
+        # c_j*x^(j*sign) from b_node, in closed form. phi rises toward 1
+        # away from the scan, so the node's tangent overshoots the root and
+        # Newton in log b returns to it from that side, with x <= 1
+        t0 = t[node]
+        x = t0 + (Y - y[node]) / m[node]
+        for _ in range(30):
+            z = math.exp(sign * (x - t0))
+            S = c[0] + z * (c[1] + z * c[2])
+            step = (x + 2.0 * math.log(S) + y[node] - t0 - Y) / (
+                1.0 + 2.0 * sign * z * (c[1] + 2.0 * z * c[2]) / S)
+            x -= step
+            if abs(step) <= 1e-12:
+                break
+        powers = (1.5 + j * sign for j in range(3))
+        return x, area[node] + math.exp(t0 + 0.5 * y[node]) * sum(
+            c_j * math.expm1(e * (x - t0)) / e for c_j, e in zip(c, powers))
+
     def root(Y, first, end):
         # log b where the Hermite is Y on the rising nodes first..end, and
         # the area up to there; the integrand of G vanishes at its ends,
         # so an error in a root moves G only at second order
-        if Y < y[first] and first == 0 or Y > y[end] and end == last:
-            # beyond the scan, on the end tangent, whose area is closed-form;
-            # no root lies above b = beta
-            node = first if Y < y[first] else end
-            x = min(t[node] + (Y - y[node]) / m[node], Y)
-            return x, area[node] + (math.exp(x + 0.5 * Y) - math.exp(t[node] + 0.5 * y[node])) / (
-                1.0 + 0.5 * m[node])
+        if Y < y[first] and first == 0:
+            return beyond(Y, *ends[0])
+        if Y > y[end] and end == last:
+            return beyond(Y, *ends[1])
         i = min(max(bisect.bisect_right(y, Y, first, end + 1) - 1, first), end - 1)
         t0, y0, p1, p2, p3 = t[i], y[i], s0[i], c2[i], c3[i]
         a, c, v = 0.0, 1.0, (Y - y0) / (y[i + 1] - y0) if y[i + 1] > y0 else 0.5
@@ -413,46 +447,67 @@ def _equal_area_start(b, B, phi, b_f, B_f):
         return t0 + hv, area[i] + 0.5 * hv * part
 
     def gap(beta):
-        # G(beta) and its slope in beta
+        # G(beta), its slope in beta, and the outer roots as d
         Y = math.log(beta)
         x1, a1 = root(Y, 0, hump)
         x2, a2 = root(Y, dip, last)
         b1, b2 = math.exp(x1), math.exp(x2)
-        return math.sqrt(beta) * (b2 - b1) - (a2 - a1), 0.5 * (b2 - b1) / math.sqrt(beta)
+        d = [math.exp(0.5 * (x - Y)) for x in (x1, x2)]
+        return math.sqrt(beta) * (b2 - b1) - (a2 - a1), 0.5 * (b2 - b1) / math.sqrt(beta), d
 
     lo, hi = float(B_f[1]), float(B_f[0])
-    beta = 0.5 * (lo + hi)
     g_lo, g_hi = gap(lo)[0], gap(hi)[0]
-    if g_lo < 0.0 < g_hi:
-        beta = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-        for _ in range(60):
-            g, slope = gap(beta)
-            lo, hi = (beta, hi) if g < 0 else (lo, beta)
-            new = beta - g / slope
-            if not lo < new < hi:
-                new = 0.5 * (lo + hi)
-            elif abs(new - beta) <= 1e-7 * beta:
-                # the next step would be below 1e-13 relative
-                beta = new
-                break
-            beta = new
-    Y = math.log(beta)
-    return beta, np.exp(0.5 * (np.array([root(Y, 0, hump)[0], root(Y, dip, last)[0]]) - Y))
+    if not g_lo < 0.0 < g_hi:
+        beta = 0.5 * (lo + hi)
+        return beta, gap(beta)[2]
+    beta = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    for _ in range(60):
+        g, slope, d = gap(beta)
+        lo, hi = (beta, hi) if g < 0 else (lo, beta)
+        new = beta - g / slope
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        elif abs(new - beta) <= 1e-7 * beta:
+            # the next step would be below 1e-13 relative
+            break
+        beta = new
+    return beta, d
 
 
 def _moved_roots(d, beta, phi, r, new):
     """Each root d at beta, with residual r and log slope phi there, moved
     by its Newton step to B(b) = new: with d(log b)/d(log beta) = 1/phi,
     d(log d)/d(log beta) = (1/phi - 1)/2, and log(1+r) has slope phi/2 in
-    log b. The roots come as a sequence, and go back as an array."""
-    d, phi, r = np.array(d), np.array(phi), np.array(r)
-    return d * (new / beta) ** (0.5 / phi - 0.5) / (1.0 + r) ** (1.0 / phi)
+    log b. The step is d*expm1 of its log, added to d, with log1p of
+    new/beta - 1 and of r: so the rounding of 1 + r and of new/beta, which
+    a power 1/phi would raise by that factor, does not reach d. The roots
+    come and go back as lists of Python floats; a step that overflows, or
+    a phi of 0, moves its root to NaN, which lies on no piece."""
+    log_ratio = math.log1p((new - beta) / beta)
+    moved = []
+    for x, p, q in zip(d, phi, r):
+        try:
+            moved.append(x + x * math.expm1(((0.5 - 0.5 * p) * log_ratio - math.log1p(q)) / p))
+        except (OverflowError, ZeroDivisionError, ValueError):
+            moved.append(math.nan)
+    return moved
 
 
 def _trace_one(rho):
     """The curve point at rho: the fold scan and its polished folds give
-    the window and the equal-area start, then Newton in beta on the gap of
-    the outer branch values, each outer root refined on its own piece."""
+    the window and the equal-area start, then one safeguarded Newton
+    iteration on (d1, d2, beta), one kernel call (_level_at) per step.
+
+    Each step takes the closed-form Newton step in beta on the gap of the
+    outer branch values, with K1(b2) - K1(b1) summed node by node
+    (_k1_difference), inside the window bracket that the gap's signs
+    narrow, and moves both roots to the new beta by their Newton steps
+    (_moved_roots), the joint update for d: the Jacobian is
+    block-triangular, as each branch value is stationary in its own d. A
+    step that leaves the bracket bisects it; one that moves a root past
+    its fold, off its piece, bisects beta too and solves the roots there
+    (_level_roots), which is also the start where a start root lies past
+    its fold."""
     _check_rho(rho)
     with _stage("fold window", rho):
         b, B, phi, cells = _folds(rho)
@@ -461,42 +516,82 @@ def _trace_one(rho):
                               "at or above the critical value" % rho)
         b_f, B_f = _polish_folds(rho, b[cells], B[cells], phi[cells])
     (b_hump, b_dip), (hi, lo) = b_f.tolist(), B_f.tolist()
-    beta, d = _equal_area_start(b, B, phi, b_f, B_f)
-    last = 0.0  # the last Newton step, 0 where there is none
+    # the low root's piece is [beta*(rho/(1+rho))^2, b_hump], the high
+    # one's [b_dip, beta], as d = sqrt(b/beta) from d_min to 1
+    d_min, c = rho / (1.0 + rho), 2.0 * (1.0 + rho)
+
+    def on_pieces(d, beta):
+        # the roots clipped to the outer ends of their pieces, which bound
+        # every root (there the low root can sit within rounding), or None
+        # where a root lies past its fold, on another branch, or is NaN
+        d1, d2 = d
+        if d1 <= math.sqrt(b_hump / beta) and d2 >= math.sqrt(b_dip / beta):
+            return [max(d1, d_min), min(d2, 1.0)]
+        return None
+
+    beta, d = _equal_area_start(rho, b, B, phi, b_f, B_f)
+    clipped = on_pieces(d, beta)
+    solve, d = clipped is None, clipped or d
+    # the last Newton step and the residuals before it, 0 where there is none
+    last, r_last = 0.0, (0.0, 0.0)
     for _ in range(60):
         with _stage("coexistence Newton", rho, beta):
-            # the low piece [beta*(rho/(1+rho))^2, b_hump], the high one
-            # [b_dip, beta], as d = sqrt(b/beta)
-            d, K1, phi, r, _, _ = _level_roots(
-                rho, [beta, beta], [rho / (1.0 + rho), math.sqrt(b_dip / beta)],
-                [math.sqrt(b_hump / beta), 1.0], d)
+            if solve:
+                # each piece's ends where r <= 0 and > 0
+                d, K1, phi, r, _, _ = _level_roots(
+                    rho, [beta, beta], [d_min, math.sqrt(b_dip / beta)],
+                    [math.sqrt(b_hump / beta), 1.0], d)
+            else:
+                r, phi, K1 = _level_at(rho, [beta, beta], d)
         d1, d2 = d
-        # branch values beta*d^2 + log(1+rho) - 2*beta*(1+rho)*d^3*K1
-        lam1, lam2 = [b_r + math.log1p(rho) - 2.0 * (1.0 + rho) * b_r * x * k
-                      for x, k, b_r in zip(d, K1, [beta * x * x for x in d])]
-        gap = lam2 - lam1
-        lo, hi = (beta, hi) if gap < 0 else (lo, beta)
+        # the branch-value gap over beta, lam/beta = d^2 + log(1+rho)/beta -
+        # c*d^3*K1 on each branch: log(1+rho)/beta cancels, and d2 - d1
+        # factors out of the rest but for c*d1^3*(K1(b2) - K1(b1)). That
+        # difference is summed node by node: near rho_c, where b2 - b1 is
+        # small, two rounded K1 would put their rounding over b2 - b1 into
+        # it, and from there into beta_cr
+        rise = (d2 - d1) * (d2 + d1)
+        dK1 = _k1_difference(rho, beta * d1 * d1, beta * d2 * d2, beta * rise)
+        g = ((d2 - d1) * (d2 + d1 - c * (d2 * d2 + d2 * d1 + d1 * d1) * K1[1])
+             - c * d1 * d1 * d1 * dK1)
+        # a root with residual r lowers its branch value by about
+        # beta*d^2*r^2/phi (it is stationary in d): a gap within twice
+        # that of each branch leaves its sign open, and the bracket as is
+        if all(2.0 * x * x * q * q < abs(g * p) for x, q, p in zip(d, r, phi)):
+            lo, hi = (beta, hi) if g < 0 else (lo, beta)
         # each branch has dlambda/dbeta = (beta*d^2 + log(1+rho) - lambda)/(2*beta)
-        step = -2.0 * beta * gap / (beta * (d2 * d2 - d1 * d1) - gap)
+        step = -2.0 * beta * g / (rise - g)
         # only a Newton step may stop the loop: bisecting toward a window
         # edge that the gap never crosses must not pass for convergence.
         # Newton's error squares at each step, so after two Newton steps
         # the next would be about |step|^3/last^2; it stops once that is
-        # below a tenth of the 1e-13 target
+        # below a tenth of the 1e-13 target, and each root's residual, or
+        # its next one by the same rule, |r|^3/r_last^2, meets the root's
+        # target: the last move, to beta_cr, takes the roots there
         new = beta + step
-        if abs(step) <= 1e-13 * beta or abs(step) ** 3 <= 1e-14 * beta * last * last:
-            break
-        last = abs(step)
+        if abs(step) <= 1e-13 * beta or abs(step * step * step) <= 1e-14 * beta * last * last:
+            tol = _residual_target(beta)
+            if all(abs(q) <= tol or abs(q * q * q) <= 0.1 * tol * p * p
+                   for q, p in zip(r, r_last)):
+                break
+        last, r_last = abs(step), r
         if not lo < new < hi:
-            new, last = 0.5 * (lo + hi), 0.0
-        d, beta = _moved_roots(d, beta, phi, r, new), new
+            new, last, r_last = 0.5 * (lo + hi), 0.0, (0.0, 0.0)
+        # a root moved past its fold bisects beta, and the roots are solved there
+        moved = on_pieces(_moved_roots(d, beta, phi, r, new), new)
+        solve = moved is None
+        if solve:
+            new, last, r_last = 0.5 * (lo + hi), 0.0, (0.0, 0.0)
+        else:
+            d = moved
+        beta = new
     else:
         with _stage("coexistence Newton", rho, beta):
             raise NumericsError("the branch-value gap did not converge to zero")
     # the branch values are stationary in d, so beta_cr is good to rounding;
     # d1 and d2 take the same Newton step to beta_cr, which removes their
     # first-order error r/phi (large where phi is small, near rho_c)
-    d1, d2 = _moved_roots(d, beta, phi, r, new).tolist()
+    d1, d2 = _moved_roots(d, beta, phi, r, new)
     return PhaseCurvePoint(rho=rho, beta_cr=new, d1=d1, d2=d2,
                            jump_drho=(d2 - d1) / rho,
                            jump_dbeta=0.5 * (d2 * d2 - d1 * d1))
@@ -509,16 +604,18 @@ def trace_phase_curve(rho_values):
     zeros of the log slope phi of the beta level, which do not depend on
     beta; one fold scan finds them and one vectorized Newton polishes both.
     Maxwell's equal-area rule on the scan (_equal_area_start, no kernel
-    call) gives a first beta and first outer roots, and safeguarded Newton
-    in beta then solves for the crossing of the outer branch values. Each
-    outer root is found by Newton in b on its own monotone piece, then
-    moved by its Newton step to the next beta; the reported d1 and d2 take
-    that step once more, to beta_cr. The iteration stops once a Newton step in beta is
-    below 1e-13 relative, or once quadratic convergence puts the next one
-    there. An amplitude that is not a positive finite real raises
-    DomainError, as does one without a window, the at-or-above-critical
-    signal; a NumericsError names the stage ("fold window" or "coexistence
-    Newton") and the (rho, beta) at which it arose.
+    call) gives a first beta and first outer roots, and one safeguarded
+    Newton iteration on both roots and beta then solves for the crossing
+    of the outer branch values, one kernel call per step: the step in beta
+    is the gap's, and each outer root moves by its own Newton step in b to
+    the next beta, on its own monotone piece; the reported d1 and d2 take
+    that step once more, to beta_cr. The iteration stops once a Newton step
+    in beta is below 1e-13 relative, or once quadratic convergence puts the
+    next one there, and each root's residual, or its next one by the same
+    rule, meets its target. An amplitude that is not a positive finite
+    real raises DomainError, as does one without a window, the
+    at-or-above-critical signal; a NumericsError names the stage ("fold
+    window" or "coexistence Newton") and the (rho, beta) at which it arose.
     """
     return [_trace_one(float(rho)) for rho in rho_values]
 

@@ -26,7 +26,8 @@ holding at most one root, one Newton solve in log b on phi
 (_polish_folds), started where the cubic Hermite of log B across each
 fold's scan cell is flat, polishes the folds that a solve needs, all in
 one kernel call per step, and one Newton solver in log b (_level_roots)
-refines the roots. A row of many beta at one rho (_solve_row) shares the
+refines the roots, each step one evaluation of r, phi and K1 at all the
+roots (_level_at). A row of many beta at one rho (_solve_row) shares the
 scan and the polish and solves the roots of every beta in the same
 Newton iteration; the phase module traces the first-order curve on the
 same operations. The masks, pieces and Newton steps of a solve run on
@@ -190,17 +191,18 @@ def big_F_scan(a_values, rho):
     from 1e-12 to 0.5, and 7e-15 at rho = 1e-300, where 1 + rho rounds to
     1 but the kernel keeps rho; where a is close to log(rho), the rounding
     of log(rho) in L sets the error instead. a may lie up to 1e-12 below
-    log(rho), where L is 0; further below raises DomainError. The points
-    go to the kernel 128 at a time, so no call holds more than 128 rows of
-    nodes; each call has its own panel rule and matrix product, so a value
-    can differ in its last bits with its block mates, and from the
-    one-point call of big_F.
+    log(rho), where L is 0; further below, or a that is not finite, raises
+    DomainError, as in big_F. The points go to the kernel 128 at a time,
+    so no call holds more than 128 rows of nodes; each call has its own
+    panel rule and matrix product, so a value can differ in its last bits
+    with its block mates, and from the one-point call of big_F.
     """
     _check_rho(rho)
     a = np.atleast_1d(np.asarray(a_values, dtype=float))
     lr = math.log(rho)
-    if np.any(a < lr - 1e-12):
-        raise DomainError("big_F_scan needs a >= log(rho)")
+    # one reduction: NaN fails the comparison, +inf the finiteness
+    if not np.all((a >= lr - 1e-12) & np.isfinite(a)):
+        raise DomainError("big_F_scan needs a finite a >= log(rho)")
     L = np.maximum(softplus_diff(a, lr), 0.0)
     K0 = np.empty(L.shape)
     for start in range(0, L.size, _BLOCK_ROWS):
@@ -354,6 +356,18 @@ def _residual_target(beta):
     return np.maximum(np.minimum(0.5e-10 / np.sqrt(beta), 1e-13), _RESIDUAL_FLOOR)
 
 
+def _level_at(rho, beta, d):
+    """r = d*(1+rho)*K0(b) - 1 = sqrt(B/beta) - 1, phi = 1 + 2b*K0'/K0 and
+    K1 at b = beta*d^2, for lists of beta and d, as lists, from one kernel
+    call: one Newton step of a root solve, on Python floats."""
+    b = [x * y * y for x, y in zip(beta, d)]
+    K0, dK0, K1 = (k.tolist() for k in _boundary_kernels(b, rho))
+    scale = 1.0 + rho
+    r = [x * scale * k - 1.0 for x, k in zip(d, K0)]
+    phi = [1.0 + x * (2.0 * k1) / k0 for x, k0, k1 in zip(b, K0, dK0)]
+    return r, phi, K1
+
+
 def _level_roots(rho, beta, neg, pos, d):
     """Roots of B(b) = beta, one per monotone piece of B, by safeguarded
     Newton in log b from d, all pieces in one kernel call per step; beta,
@@ -361,7 +375,9 @@ def _level_roots(rho, beta, neg, pos, d):
     beta at one rho share the solve. The iterate is carried as
     d = sqrt(b/beta), exact where b underflows, and a piece as its ends
     neg and pos in d, where r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is
-    <= 0 and > 0. As log(1+r) has slope phi in log d, the step is
+    <= 0 and > 0; each step reads r, phi and K1 from one _level_at call,
+    the evaluation that the phase tracer's joint Newton steps make too.
+    As log(1+r) has slope phi in log d, the step is
     d/(1+r)^(1/phi); one that leaves the bracket bisects it in log d
     instead, as does one where (1+r)^(1/phi) under- or overflows far from
     a root (the step is then inf or 0). A piece stays where it is while
@@ -377,12 +393,8 @@ def _level_roots(rho, beta, neg, pos, d):
     beta, neg, pos, d, tol = (np.asarray(x, dtype=float).tolist()
                               for x in (beta, neg, pos, d, tol))
     d = [min(max(x, min(lo, hi)), max(lo, hi)) for x, lo, hi in zip(d, neg, pos)]
-    scale = 1.0 + rho
     for _ in range(60):
-        b = [x * y * y for x, y in zip(beta, d)]
-        K0, dK0, K1 = (k.tolist() for k in _boundary_kernels(b, rho))
-        r = [x * scale * k - 1.0 for x, k in zip(d, K0)]
-        phi = [1.0 + x * (2.0 * k1) / k0 for x, k0, k1 in zip(b, K0, dK0)]
+        r, phi, K1 = _level_at(rho, beta, d)
         todo = []
         for i, r_i in enumerate(r):
             if r_i <= 0:

@@ -38,6 +38,24 @@ WINDOW_EDGES = {
     0.12328197: (5.12009091258917889616061778714, 5.12009091262607213470366237589),
 }
 
+# First-order curve points (beta_cr, d1, d2) at the float rho, from 45-digit
+# mpmath and the same to 30 digits at 60: findroot in (log b1, log b2, beta)
+# on B(b1) = B(b2) = beta and equal branch values
+# b - 2*(1+rho)*b^(3/2)*K1(b)/sqrt(beta), with K0 and K1 by mpmath.quad in
+# v = 1 - u on breakpoints graded toward the layer at v = 0. They share no
+# code with the tracer. The last rho is rho_c*(1 - 1e-3), with the mpmath
+# endpoint rho_c = 0.12328197774653884798.
+CURVE_POINTS = {
+    0.04: (8.17541937023094589936585236561, 0.0514065544102785466456768075003,
+           0.681564362282932149728213050574),
+    0.07: (6.65083050267783971972516093299, 0.107311364588342224178584756976,
+           0.628582923666419647600033551136),
+    0.1: (5.68408062983455906775940962385, 0.191865050350741963888561384966,
+          0.548452369667683429363430967767),
+    0.1231586957687923: (5.12277903551729052069639895963, 0.35883827417202400961501191386,
+                         0.385489618462846308513475903224),
+}
+
 
 @pytest.fixture(scope="session")
 def crit():

@@ -50,6 +50,27 @@ def test_boundary_kernels_match_mpmath(rho, b, k0, k1, dk0):
     assert K0[1] == pytest.approx(k0, rel=1e-14)
 
 
+@pytest.mark.parametrize("rho,b1,step", [(0.1232, 0.7, 2.0 ** -20), (0.1232, 0.7, 2.0 ** -40),
+                                         (0.04, 0.0216, 3.78), (1e-8, 1e-14, 27.0)])
+def test_k1_difference_keeps_its_digits(rho, b1, step):
+    # against 40-digit mpmath at the same float b; the difference of two
+    # rounded K1 errs by about an ulp of K1 over K1(b2) - K1(b1): 7e-11
+    # relative at the 2^-20 step and 7e-6 at 2^-40, against 2.5e-16 here
+    b2 = b1 + step
+    assert b2 - b1 == step
+    got = numerics._k1_difference(rho, b1, b2, step)
+    with mpmath.workdps(40):
+        def k1(b):
+            f = lambda u: u * u / (rho - mpmath.expm1(b * (u * u - 1)))
+            layer = [1 - mpmath.mpf(rho) / (2 * b) * 2 ** -j for j in range(8)]
+            return mpmath.quad(f, [0] + sorted(x for x in layer if x > 0) + [1])
+        want = k1(mpmath.mpf(b2)) - k1(mpmath.mpf(b1))
+    assert got == pytest.approx(float(want), rel=1e-15)
+    # wide apart, it is the kernel's own K1 difference to rounding
+    K1 = _boundary_kernels([b1, b2], rho)[2]
+    assert got == pytest.approx(K1[1] - K1[0], rel=1e-14, abs=4e-16 * abs(K1[1]))
+
+
 @pytest.mark.parametrize("b,rho", [(0.7092, 0.1233), (2.28e-8, 1e-8), (20.0, 1e-8)])
 def test_second_derivative_row_matches_central_differences(b, rho):
     # the row is b^2*d^2K0/db^2; fourth-order central differences of

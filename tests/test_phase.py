@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import WINDOW_EDGES, kernel_calls
+from conftest import CURVE_POINTS, WINDOW_EDGES, kernel_calls
 from lyaprec import phase, variational
 from lyaprec.errors import DomainError, EvaluationError, NumericsError, _stage
 from lyaprec.meanfield import mf_beta_level, mf_derivative_jumps, mf_lambda
@@ -277,7 +278,7 @@ def test_traced_points_balance_branch_values(mini_curve):
         )
 
 
-@pytest.mark.parametrize("rho,most", [(0.1232, 16), (0.12328, 18)])
+@pytest.mark.parametrize("rho,most", [(0.1232, 7), (0.12328, 6)])
 def test_near_critical_trace_kernel_calls(monkeypatch, rho, most):
     # the hump and the dip share a scan cell here; the zoom between them
     # stops at its first scan with a node where phi < 0
@@ -286,8 +287,8 @@ def test_near_critical_trace_kernel_calls(monkeypatch, rho, most):
 
 def test_traced_point_kernel_calls(monkeypatch):
     # one fold scan, both folds polished together (the only calls that ask
-    # for the second-derivative row), and the root solves from the
-    # equal-area start
+    # for the second-derivative row), and the joint Newton steps on both
+    # roots and beta from the equal-area start, one call each
     asked = []
     kernels = variational._boundary_kernels
 
@@ -297,14 +298,105 @@ def test_traced_point_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(variational, "_boundary_kernels", counted)
     trace_phase_curve([0.05])
-    assert len(asked) <= 10
+    assert len(asked) <= 7
+    assert asked.count(3) <= 3
     assert asked.count(4) <= 3
 
 
 def test_near_critical_curve_kernel_calls(monkeypatch, crit):
     rhos = near_critical_rho_grid(crit)
     assert len(rhos) == 12
-    assert kernel_calls(monkeypatch, lambda: trace_phase_curve(rhos)) <= 120
+    assert kernel_calls(monkeypatch, lambda: trace_phase_curve(rhos)) <= 90
+
+
+@pytest.mark.parametrize("rho", [1e-8, 1e-12])
+def test_tiny_rho_trace_kernel_calls(monkeypatch, rho):
+    # the high root lies above the fold scan here (b2 about 27 at 1e-8);
+    # the equal-area start follows sqrt(B/b) -> 1 past the scan's top
+    # instead of the last node's tangent, and costs at most one more call
+    at_1e3 = kernel_calls(monkeypatch, lambda: trace_phase_curve([1e-3]))
+    assert kernel_calls(monkeypatch, lambda: trace_phase_curve([rho])) <= at_1e3 + 1
+
+
+@pytest.mark.parametrize("rho", sorted(CURVE_POINTS))
+def test_traced_points_match_mpmath(rho):
+    beta_cr, d1, d2 = CURVE_POINTS[rho]
+    (p,) = trace_phase_curve([rho])
+    # near rho_c the roots move as 1/phi times beta and their residual,
+    # which carries the rounding of K0 and K1 into d
+    tol = 1e-10 if rho > 0.12 else 1e-12
+    assert p.beta_cr == pytest.approx(beta_cr, rel=1e-13)
+    assert (p.d1, p.d2) == pytest.approx((d1, d2), rel=tol)
+
+
+def _solves(monkeypatch):
+    # the calls of the fallback root solve
+    solves = []
+    level_roots = phase._level_roots
+
+    def counted(*args):
+        solves.append(args[1])
+        return level_roots(*args)
+
+    monkeypatch.setattr(phase, "_level_roots", counted)
+    return solves
+
+
+def test_trace_solves_start_roots_past_their_folds(monkeypatch):
+    # swapped start roots lie past the folds, on the other outer branch:
+    # the loop solves the roots at the start beta instead of stepping
+    start = phase._equal_area_start
+
+    def swapped(*args):
+        beta, (d1, d2) = start(*args)
+        return beta, [d2, d1]
+
+    monkeypatch.setattr(phase, "_equal_area_start", swapped)
+    solves = _solves(monkeypatch)
+    (p,) = trace_phase_curve([0.07])
+    assert len(solves) == 1
+    beta_cr, d1, d2 = CURVE_POINTS[0.07]
+    assert p.beta_cr == pytest.approx(beta_cr, rel=1e-13)
+    assert (p.d1, p.d2) == pytest.approx((d1, d2), rel=1e-12)
+
+
+def test_trace_bisects_on_a_root_moved_off_its_piece(monkeypatch):
+    # a NaN move, as from an overflowing step, lies on no piece: the loop
+    # bisects the window bracket and solves the roots at its midpoint from
+    # the last ones
+    moved = phase._moved_roots
+    first = []
+
+    def fail_once(d, *args):
+        if not first:
+            first.append(list(d))
+            return [math.nan, math.nan]
+        return moved(d, *args)
+
+    monkeypatch.setattr(phase, "_moved_roots", fail_once)
+    solves = _solves(monkeypatch)
+    (p,) = trace_phase_curve([0.07])
+    assert len(solves) == 1 and solves[0][0] != p.beta_cr
+    beta_cr, d1, d2 = CURVE_POINTS[0.07]
+    assert p.beta_cr == pytest.approx(beta_cr, rel=1e-13)
+    assert (p.d1, p.d2) == pytest.approx((d1, d2), rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e-154, 1.8896523396912657e-152, 2.9331662783899645e-71,
+                                 1e-20, 0.12328193870126355])
+def test_trace_answers_across_the_range(rho):
+    # at tiny rho the low root sits within rounding of its piece's lower
+    # end, which a moved root may cross without leaving its branch; near
+    # rho_c the window is 4e-10 wide in beta. No warning, and the outer
+    # branch values balance up to the rounding of their terms (about
+    # beta*d^2 each)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (p,) = trace_phase_curve([rho])
+    assert 0.0 < p.d1 < p.d2 < 1.0
+    params = ModelParams(p.rho, p.beta_cr)
+    assert lambda_of_d(p.d2, params) == pytest.approx(lambda_of_d(p.d1, params),
+                                                      abs=1e-14 * p.beta_cr)
 
 
 @pytest.mark.parametrize("rho", [0.1233, 0.124])
@@ -328,7 +420,7 @@ def test_trace_rejects_one_phase_region():
 @pytest.mark.parametrize(
     "stage,name,beta",
     [("fold window", "_folds", None),
-     ("coexistence Newton", "_level_roots", 7.566814580295705)],
+     ("coexistence Newton", "_level_at", 7.566814580295705)],
 )
 def test_trace_errors_name_stage_and_point(monkeypatch, stage, name, beta):
     def fail(*args, **kwargs):

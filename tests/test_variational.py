@@ -117,6 +117,17 @@ def test_big_f_edges():
         big_F(-3.0, 0.2)
 
 
+@pytest.mark.parametrize("a", [[math.nan], [math.nan, 1.0], [math.inf], [1.0, -math.inf]])
+def test_big_f_scan_refuses_non_finite_a(a):
+    # as big_F does: a NaN used to come back as NaN after a RuntimeWarning,
+    # or to fail the kernel's rule check at the valid point beside it, and
+    # +inf to overflow the kernel argument
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^big_F_scan needs a finite a >= log"):
+            big_F_scan(a, 0.1)
+
+
 def test_big_f_scan_matches_adaptive():
     # big_F is the one-point scan: a point's block mates and panel rule
     # move its value by rounding only (at most 5 ulp seen over rho from
