@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_q1, _check_rho
-from .numerics import _bisect, expit, softplus
+from .numerics import expit, softplus
 
 __all__ = [
     "MeanFieldResult",
@@ -140,15 +140,43 @@ def mf_lambda(params):
 def mf_gap(beta):
     """Positive solution of delta = tanh(beta*delta/6), beta > 6.
 
-    Bisection on (0, 1) down to adjacent floats: the left edge is on the
-    tanh side of the fixed point for any beta > 6, the right edge always
-    on the other.
+    Solved as atanh(delta)/delta - 1 = (beta - 6)/6, which does not
+    cancel where beta is near 6 and delta is small: beta - 6 is exact
+    there, and the left side is the sum over k >= 1 of
+    delta^(2k)/(2k+1), summed as such below delta = 1/2 (_atanh_excess).
+    The left side is convex and rising in delta, and the root lies below
+    tanh(beta/6), so Newton from there falls monotonically onto it; it
+    stops once a step no longer lowers delta. Where tanh(beta/6) rounds
+    to 1, so does the root, and 1 is returned.
     """
     if not beta > 6.0:
         raise DomainError("the gap equation has no positive solution for beta <= 6")
-    lo, hi = _bisect(lambda x: math.tanh(beta * x / 6.0) > x, 1e-12, 1.0,
-                     np.finfo(float).eps)
-    return 0.5 * (lo + hi)
+    excess = (beta - 6.0) / 6.0
+    delta = math.tanh(beta / 6.0)
+    while delta < 1.0:
+        value, slope = _atanh_excess(delta)
+        lower = delta - (value - excess) / slope
+        if not lower < delta:
+            break
+        delta = lower
+    return delta
+
+
+def _atanh_excess(delta):
+    """atanh(delta)/delta - 1 and its derivative in delta, for delta in
+    (0, 1): below 1/2 as the series sum over k >= 1 of delta^(2k)/(2k+1)
+    and its derivative term by term, in Horner form in x = delta^2, up to
+    the first k with x^k <= 2e-17 (at most 28 terms), past which the
+    terms stay below 2e-17 of the first."""
+    if delta >= 0.5:
+        value = (math.atanh(delta) - delta) / delta
+        return value, (delta * delta / (1.0 - delta * delta) - value) / delta
+    x = delta * delta
+    value = rate = 0.0
+    for k in range(math.ceil(-38.45 / math.log(x)), 0, -1):
+        value = x * (1.0 / (2 * k + 1) + value)
+        rate = k / (k + 0.5) + x * rate
+    return value, delta * rate
 
 
 def mf_phase_curve(rho):

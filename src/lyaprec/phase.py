@@ -35,6 +35,7 @@ from .variational import (
     _hermite,
     _level_at,
     _level_roots,
+    _moved_roots,
     _polish_folds,
     _residual_target,
     big_F_scan,
@@ -472,25 +473,6 @@ def _equal_area_start(rho, b, B, phi, b_f, B_f):
             break
         beta = new
     return beta, d
-
-
-def _moved_roots(d, beta, phi, r, new):
-    """Each root d at beta, with residual r and log slope phi there, moved
-    by its Newton step to B(b) = new: with d(log b)/d(log beta) = 1/phi,
-    d(log d)/d(log beta) = (1/phi - 1)/2, and log(1+r) has slope phi/2 in
-    log b. The step is d*expm1 of its log, added to d, with log1p of
-    new/beta - 1 and of r: so the rounding of 1 + r and of new/beta, which
-    a power 1/phi would raise by that factor, does not reach d. The roots
-    come and go back as lists of Python floats; a step that overflows, or
-    a phi of 0, moves its root to NaN, which lies on no piece."""
-    log_ratio = math.log1p((new - beta) / beta)
-    moved = []
-    for x, p, q in zip(d, phi, r):
-        try:
-            moved.append(x + x * math.expm1(((0.5 - 0.5 * p) * log_ratio - math.log1p(q)) / p))
-        except (OverflowError, ZeroDivisionError, ValueError):
-            moved.append(math.nan)
-    return moved
 
 
 def _trace_one(rho):

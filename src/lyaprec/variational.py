@@ -27,7 +27,9 @@ holding at most one root, one Newton solve in log b on phi
 fold's scan cell is flat, polishes the folds that a solve needs, all in
 one kernel call per step, and one Newton solver in log b (_level_roots)
 refines the roots, each step one evaluation of r, phi and K1 at all the
-roots (_level_at). A row of many beta at one rho (_solve_row) shares the
+roots (_level_at) and one Newton move of each root (_moved_root), the
+move that also starts the roots from the scan nodes and that they leave
+the solve after. A row of many beta at one rho (_solve_row) shares the
 scan and the polish and solves the roots of every beta in the same
 Newton iteration; the phase module traces the first-order curve on the
 same operations. The masks, pieces and Newton steps of a solve run on
@@ -368,6 +370,28 @@ def _level_at(rho, beta, d):
     return r, phi, K1
 
 
+def _moved_root(d, beta, phi, r, new):
+    """The root d of B(b) = beta, with residual r and log slope phi at its
+    evaluation, moved by its Newton step to B(b) = new: log d moves by
+    ((1 - phi)/2*log(new/beta) - log1p(r))/phi, as log(1+r) has slope
+    phi/2 in log b and d = sqrt(b/beta). The step is d*expm1 of that,
+    added to d, with log(new/beta) as log1p(new/beta - 1) for new/beta in
+    (1/2, 2) and a log difference elsewhere: so the rounding of 1 + r and
+    of new/beta, which a power 1/phi would raise by that factor, does not
+    reach d. A step that overflows, or a phi of 0, gives NaN."""
+    x = (new - beta) / beta
+    try:
+        log_ratio = math.log1p(x) if -0.5 < x < 1.0 else math.log(new) - math.log(beta)
+        return d + d * math.expm1(((0.5 - 0.5 * phi) * log_ratio - math.log1p(r)) / phi)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return math.nan
+
+
+def _moved_roots(d, beta, phi, r, new):
+    """The roots d at one beta, each moved to B(b) = new (_moved_root)."""
+    return [_moved_root(x, beta, p, q, new) for x, p, q in zip(d, phi, r)]
+
+
 def _level_roots(rho, beta, neg, pos, d):
     """Roots of B(b) = beta, one per monotone piece of B, by safeguarded
     Newton in log b from d, all pieces in one kernel call per step; beta,
@@ -377,16 +401,13 @@ def _level_roots(rho, beta, neg, pos, d):
     neg and pos in d, where r = sqrt(B/beta) - 1 = d*(1+rho)*K0(b) - 1 is
     <= 0 and > 0; each step reads r, phi and K1 from one _level_at call,
     the evaluation that the phase tracer's joint Newton steps make too.
-    As log(1+r) has slope phi in log d, the step is
-    d/(1+r)^(1/phi); one that leaves the bracket bisects it in log d
-    instead, as does one where (1+r)^(1/phi) under- or overflows far from
-    a root (the step is then inf or 0). A piece stays where it is while
-    |r| <= _residual_target(beta), its own target, and the solve stops
-    when all pieces meet theirs; returns d, K1, phi, r, neg and pos as
-    lists. The steps run on Python floats, as numpy's cost per call
-    outweighs the arithmetic on the few pieces of a solve (at most three
-    per beta), but the powers go through numpy, whose vector pow can
-    differ from libm's in the last bit. A piece still short of its target
+    The step is the root's move to its own level (_moved_root); one that
+    leaves the bracket, or is NaN, bisects it in log d instead. A piece
+    stays where it is while |r| <= _residual_target(beta), its own
+    target, and the solve stops when all pieces meet theirs; returns d,
+    K1, phi, r, neg and pos as lists. The steps run on Python floats, as
+    numpy's cost per call outweighs the arithmetic on the few pieces of a
+    solve (at most three per beta). A piece still short of its target
     after 60 steps raises NumericsError with the piece's position as
     index."""
     tol = _residual_target(np.asarray(beta, dtype=float))
@@ -405,12 +426,8 @@ def _level_roots(rho, beta, neg, pos, d):
                 todo.append(i)
         if not todo:
             return d, K1, phi, r, neg, pos
-        # 1/phi is inf where phi = 0, and d over a power that underflows
-        # to 0 is inf, as on arrays
-        with np.errstate(divide="ignore", over="ignore"):
-            power = np.power([1.0 + r[i] for i in todo], np.divide(1.0, [phi[i] for i in todo]))
-        for i, p in zip(todo, power.tolist()):
-            x = d[i] / p if p else math.inf
+        for i in todo:
+            x = _moved_root(d[i], beta[i], phi[i], r[i], beta[i])
             d[i] = x if (x - neg[i]) * (x - pos[i]) < 0 else math.sqrt(neg[i] * pos[i])
     exc = NumericsError("the roots did not reach the residual target")
     exc.index = todo[0]
@@ -442,21 +459,21 @@ def _pieces(rho, beta, b, B, phi, b_f, B_f):
     though where b is tiny r sits within rounding of zero at b_min; a
     piece whose ends lie on both sides of beta holds one root. A fold end
     outside [b_min, beta] ends no piece: it takes the side and the d of
-    b_min or of beta, whichever it lies beyond. Each piece starts on the
-    tangent at its scan node with B nearest beta, where that lands inside
-    the piece; else at its outer end, where Newton does not overshoot.
-    d = sqrt(b/beta) rises along the scan, so the nodes inside a piece are
-    a run, found by bisection. At a subnormal beta, b/beta and B/beta
-    overflow to inf at the nodes, and at a huge beta, beta/B does; the
-    nodes then lie in no piece, or their tangent starts (inf, nan or 0)
-    are not taken."""
+    b_min or of beta, whichever it lies beyond. Each piece starts at its
+    scan node with B nearest beta, a root at its own level B with r = 0,
+    moved to beta (_moved_root), where that lands inside the piece; else
+    at its outer end, where Newton does not overshoot. d = sqrt(b/beta)
+    rises along the scan, so the nodes inside a piece are a run, found by
+    bisection. At a subnormal beta, b/beta and B/beta overflow to inf at
+    the nodes, which then lie in no piece."""
     d_min = rho / (1.0 + rho)
     shrink = (rho / (1.0 + rho)) ** 2
     col = np.array(beta)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         d_scan = np.sqrt(b / col).tolist()
         far = np.abs(np.log(B / col)).tolist()
-    row, neg, pos, start, ends_d, node = [], [], [], [], [], []
+    nodes = list(zip(np.sqrt(b / B).tolist(), B.tolist(), phi.tolist()))
+    row, neg, pos, start = [], [], [], []
     for j, x in enumerate(beta):
         b_min = x * shrink
         ends, B_ends = [b_min, x], [0.0, math.inf]
@@ -470,40 +487,34 @@ def _pieces(rho, beta, b, B, phi, b_f, B_f):
                 row.append(j)
                 neg.append(hi if above[i] else lo)
                 pos.append(lo if above[i] else hi)
-                ends_d.append((lo, hi))
-                start.append(lo if lo == d_min else hi if hi == 1.0 else math.sqrt(lo * hi))
                 first = bisect.bisect_right(d_scan[j], lo)
                 near = far[j][first:bisect.bisect_left(d_scan[j], hi)]
-                node.append(first + near.index(min(near)) if near else None)
-    tangent = [i for i, k in enumerate(node) if k is not None]
-    if tangent:
-        k = [node[i] for i in tangent]
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = np.power([beta[row[i]] / x for i, x in zip(tangent, B[k].tolist())],
-                             0.5 / phi[k])
-        for i, p in zip(tangent, power.tolist()):
-            x = d_scan[row[i]][node[i]] * p
-            lo, hi = ends_d[i]
-            if lo < x < hi:
-                start[i] = x
+                k = first + near.index(min(near)) if near else None
+                moved = math.nan if k is None else _moved_root(*nodes[k], 0.0, x)
+                start.append(moved if lo < moved < hi else
+                             lo if lo == d_min else hi if hi == 1.0 else math.sqrt(lo * hi))
     return row, neg, pos, start
 
 
 def _row_roots(rho, betas, q=1):
     """The roots in d of B(b) = q*beta for every beta > 0 of a row at one
     rho: arrays of each root's owner (its position in betas), d, its last
-    Newton bracket in d (neg, pos) and K1 there, each beta's roots in
-    increasing order. The folds do not depend on beta, so the row makes
-    one fold scan, polishes each fold at most once (only if some beta
-    reaches the B values at the nodes of its scan cell), and refines the
-    roots of all beta in one Newton solve (_level_roots); the polish
-    masks and the pieces are built on Python floats. A NumericsError names
+    Newton bracket in d (neg, pos), and the last evaluated root with K1
+    there, each beta's roots in increasing order. The folds do not depend
+    on beta, so the row makes one fold scan, polishes each fold at most
+    once (only if some beta reaches the B values at the nodes of its scan
+    cell), and refines the roots of all beta in one Newton solve
+    (_level_roots); the polish masks and the pieces are built on Python
+    floats. Each root d is the evaluated one moved once more to its level
+    (_moved_root), with no kernel call, where that stays inside its last
+    bracket: this removes the error r/phi of the evaluation, large where
+    phi is small, near rho_c. A NumericsError names
     its stage, rho, the beta at which it arose (the first beta of the row
     for the scan, the first that needs it for the polish) and q."""
     betas = np.asarray(betas, dtype=float)
     live = (betas > 0).nonzero()[0]
     if not live.size:
-        return (live,) + (np.zeros(0),) * 4
+        return (live,) + (np.zeros(0),) * 5
     beta_q = q * betas[live]
     with _stage("fold search", rho, betas[live[0]], q):
         b, B, phi, cells = _folds(rho)
@@ -532,10 +543,12 @@ def _row_roots(rho, betas, q=1):
         b_f = [ends[0][own[0]][0] + ends[1][own[1]][0] for own in polish]
         B_f = [ends[0][own[0]][1] + ends[1][own[1]][1] for own in polish]
     row, neg, pos, start = _pieces(rho, beta_q.tolist(), b, B, phi, b_f, B_f)
-    owner = live[row]
+    owner, beta_q = live[row], beta_q[row].tolist()
     with _stage("root refinement", rho, betas[owner], q):
-        d, K1, _, _, neg, pos = _level_roots(rho, beta_q[row], neg, pos, start)
-    return owner, np.asarray(d), np.asarray(neg), np.asarray(pos), np.asarray(K1)
+        at, K1, phi, r, neg, pos = _level_roots(rho, beta_q, neg, pos, start)
+    d = [x if (x - lo) * (x - hi) <= 0 else y for y, x, lo, hi
+         in zip(at, map(_moved_root, at, beta_q, phi, r, beta_q), neg, pos)]
+    return owner, *map(np.asarray, (d, neg, pos, at, K1))
 
 
 def solve_h1(params):
@@ -550,10 +563,10 @@ def solve_h1(params):
     sign across it. A fold is polished only where beta reaches the B
     values at the nodes of its scan cell; elsewhere the cell holds no
     root, and its nodes end the pieces on either side. The roots of all
-    pieces are refined together by Newton in log b (_level_roots), each
-    started on the tangent at its nearest scan node, to |r| <=
-    _residual_target(beta), the 1e-10 residual on big_F where double
-    precision holds it. This is the one-element row of _row_roots, the
+    pieces are refined together by Newton in log b (_level_roots) to
+    |r| <= _residual_target(beta), the 1e-10 residual on big_F where
+    double precision holds it, and leave the solve after one more Newton
+    move. This is the one-element row of _row_roots, the
     solve that lyapunov and the CLI share. Logits follow from
     a = inverse_softplus(b + log(1+rho)).
     """
@@ -561,7 +574,7 @@ def solve_h1(params):
     if not params.beta > 0:
         raise DomainError("solve_h1 needs beta > 0")
     rho, beta = params.rho, params.beta
-    _, d, neg, pos, _ = _row_roots(rho, [beta])
+    _, d, neg, pos, _, _ = _row_roots(rho, [beta])
     a, a_lo, a_hi = inverse_softplus(
         beta * np.array([d, np.minimum(neg, pos), np.maximum(neg, pos)]) ** 2 + math.log1p(rho))
     return RootSet(roots=a.tolist(), brackets=list(zip(a_lo.tolist(), a_hi.tolist())),
@@ -652,9 +665,9 @@ def lyapunov(params):
     and the tie flag is set. Partial derivatives ride along: d/drho of
     the growth rate equals d/rho on the selected branch, and d/dbeta
     equals (beta*d^2 + log(1+rho) - lambda) / (2*beta). Branch values
-    come from the K1 kernel at the roots in d. This is the one-element
-    row of _solve_row, which solves many beta at one rho with one fold
-    scan and one Newton solve. A NumericsError names the stage ("fold
+    come from the K1 kernel at the last evaluated roots. This is the
+    one-element row of _solve_row, which solves many beta at one rho with
+    one fold scan and one Newton solve. A NumericsError names the stage ("fold
     search", "root refinement" or "branch values") and the (rho, beta)
     at which it arose.
     """
@@ -666,16 +679,17 @@ def _solve_row(rho, betas, q=1):
     """lyapunov at (rho, q*beta) for every beta of a row at one rho, as a
     list of LyapunovResult in the order of betas. The roots of all beta
     come from one _row_roots solve, and their branch values from the K1
-    of its last Newton step, which is the kernel at the roots. A
+    of its last Newton step, at the evaluated roots: the values are
+    stationary in d, so the last move of d does not reach them. A
     NumericsError names the stage, rho, the beta of the element at which
     it arose, and q (in the message where q > 1)."""
     betas = np.asarray(betas, dtype=float)
-    owner, d, _, _, K1 = _row_roots(rho, betas, q)
+    owner, d, _, _, at, K1 = _row_roots(rho, betas, q)
     found = [[] for _ in betas]
     if d.size:
         beta_q = q * betas[owner]
         with _stage("branch values", rho, betas[owner], q):
-            values = _branch_values(d, rho, beta_q, K1)
+            values = _branch_values(at, rho, beta_q, K1)
         h1 = inverse_softplus(beta_q * d ** 2 + math.log1p(rho))
         for j, a, x, v in zip(owner.tolist(), h1.tolist(), d.tolist(), values.tolist()):
             found[j].append(Branch(h1=a, d=x, lambda_value=v))

@@ -100,26 +100,28 @@ def test_gap_fixed_point():
             mf_gap(bad)
 
 
-def _fixed_step_gap(beta):
-    # reference: a fixed 120-step bisection, which keeps the bracket on the
-    # same pair of adjacent floats once it reaches them
-    lo, hi = 1e-12, 1.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if math.tanh(beta * mid / 6.0) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def test_gap_matches_fixed_step_bisection():
-    # both halve the same brackets down to adjacent floats
+def test_gap_matches_mpmath():
+    # against the 50-digit root of atanh(delta)/delta - 1 = (beta - 6)/6 at
+    # the float beta, from 6(1 + 1e-12) up, and at the edges: beta next to
+    # 6, where delta is 2e-8, and beta where the root rounds to 1, which it
+    # does where tanh(beta*m/6) > m at the midpoint m of 1 and the float below
+    mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(3)
-    betas = 6.0 * np.exp(rng.uniform(0.0, math.log(1e300 / 6.0), 4000))
-    edges = [math.nextafter(6.0, math.inf), 6.0 + 1e-15, 6.0 + 1e-9, 1e300]
-    for beta in betas.tolist() + edges:
-        assert mf_gap(beta) == _fixed_step_gap(beta), beta
+    betas = 6.0 * (1.0 + np.exp(rng.uniform(math.log(1e-12), math.log(1e4 / 6.0), 300)))
+    edges = [math.nextafter(6.0, math.inf), 6.0 + 1e-15, 6.0 * (1.0 + 1e-12), 6.001, 1e4, 1e300]
+    with mp.workdps(50):
+        for beta in betas.tolist() + edges:
+            delta = mf_gap(beta)
+            if delta == 1.0:
+                m = 1 - mp.mpf(2) ** -54
+                assert mp.tanh(mp.mpf(beta) / 6 * m) > m, beta
+                continue
+            excess = (mp.mpf(beta) - 6) / 6
+            # in t = atanh(delta), where the left side t/tanh(t) - 1 is smooth
+            want = mp.tanh(mp.findroot(lambda t: t / mp.tanh(t) - 1 - excess,
+                                       mp.atanh(mp.mpf(delta))))
+            assert abs(delta - want) <= 1e-15 * want, beta
+    assert mf_gap(math.inf) == 1.0
 
 
 def test_curve_and_coexistence():

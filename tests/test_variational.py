@@ -24,6 +24,8 @@ from lyaprec.variational import (
     Branch,
     ModelParams,
     _folds,
+    _moved_root,
+    _moved_roots,
     _polish_folds,
     big_F,
     big_F_scan,
@@ -224,6 +226,48 @@ def test_solve_h1_counts_and_residuals(mini_curve):
         assert len(solve_h1(ModelParams(p.rho, beta)).roots) == 1
     with pytest.raises(DomainError):
         solve_h1(ModelParams(p.rho, 0.0))
+
+
+# Roots d of B(b) = beta at the float (rho, beta), with the branch value
+# there, from 45-digit mpmath: findroot in log d on log(d*(1+rho)*K0(b)),
+# K0 and K1 by mpmath.quad in v = 1 - u on breakpoints graded toward the
+# layer of width rho/(2b) at v = 0. They share no code with the solver.
+ROOT_NEAR_RHO_C = (0.12328, 5.12018, 0.3828245847809646623068, 0.1622117058714536703877)
+ROOTS_AT_FOLD_ROW = (0.1, 5.7, (0.1939979066316587885717468, 0.3540295517512217536179042,
+                                0.5558184276624145293822439))
+
+
+def test_root_near_rho_c_matches_mpmath():
+    # phi is small near rho_c, so the residual left by the root solve would
+    # err by r/phi in d; the last Newton move takes d to its rounding floor
+    rho, beta, d, lam = ROOT_NEAR_RHO_C
+    res = lyapunov(ModelParams(rho, beta))
+    assert res.selected.d == pytest.approx(d, rel=1e-12)
+    assert res.dlambda_drho * rho == pytest.approx(d, rel=1e-12)
+    assert res.lambda_ == pytest.approx(lam, rel=1e-15)
+    assert solve_h1(ModelParams(rho, beta)).d == pytest.approx([d], rel=1e-12)
+
+
+def test_three_roots_match_mpmath():
+    # the outer roots to 2e-15; the middle one has |phi| = 0.053, where the
+    # rounding of K0 alone (1.4e-16 at its last evaluation) moves d by 3e-15
+    rho, beta, want = ROOTS_AT_FOLD_ROW
+    got = [b.d for b in lyapunov(ModelParams(rho, beta)).all_branches]
+    assert got == solve_h1(ModelParams(rho, beta)).d
+    for x, y, tol in zip(got, want, (2e-15, 5e-15, 2e-15)):
+        assert x == pytest.approx(y, rel=tol)
+
+
+def test_root_move_contract():
+    # the one Newton move of a root: no move at its own level, finite far
+    # from it, NaN (not an exception) where the step overflows or phi = 0
+    assert _moved_root(0.3, 2.0, 0.4, 0.0, 2.0) == 0.3
+    for ratio in (1e-300, 1e300):
+        x = _moved_root(0.5, 1.0, 0.5, 0.0, ratio)
+        assert isinstance(x, float) and x == pytest.approx(0.5 * ratio ** 0.5, rel=1e-13)
+    assert math.isnan(_moved_root(0.5, 1.0, 0.0, 1e-3, 1.0))
+    assert math.isnan(_moved_root(0.5, 1.0, 1e-3, 0.0, 1e300))
+    assert _moved_roots([0.3, 0.4], 2.0, [0.4, -0.2], [0.0, 0.0], 2.0) == [0.3, 0.4]
 
 
 def _three_branch_window(rho):
