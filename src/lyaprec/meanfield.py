@@ -145,14 +145,16 @@ def mf_gap(beta):
     there, and the left side is the sum over k >= 1 of
     delta^(2k)/(2k+1), summed as such below delta = 1/2 (_atanh_excess).
     The left side is convex and rising in delta, and the root lies below
-    tanh(beta/6), so Newton from there falls monotonically onto it; it
-    stops once a step no longer lowers delta. Where tanh(beta/6) rounds
-    to 1, so does the root, and 1 is returned.
+    tanh(beta/6) and, as the left side is at least delta^2/3, below
+    sqrt((beta - 6)/2), so Newton from the lower of the two falls
+    monotonically onto it, in a few steps near beta = 6 too; it stops
+    once a step no longer lowers delta. Where tanh(beta/6) rounds to 1,
+    so does the root, and 1 is returned.
     """
     if not beta > 6.0:
         raise DomainError("the gap equation has no positive solution for beta <= 6")
     excess = (beta - 6.0) / 6.0
-    delta = math.tanh(beta / 6.0)
+    delta = min(math.tanh(beta / 6.0), math.sqrt((beta - 6.0) / 2.0))
     while delta < 1.0:
         value, slope = _atanh_excess(delta)
         lower = delta - (value - excess) / slope

@@ -175,6 +175,8 @@ def test_exit_codes(monkeypatch, capsys):
     assert main(["nonsense"]) == 2
     # no CLT ratio at a zero target variance
     assert main(["simulate", "--clt", "--beta", "0"]) == 2
+    # the Philox key holds a seed in [0, 2**64)
+    assert main(["simulate", "--seed", "-1"]) == 2
     assert main(["simulate", "--clt", "--rho", "0", "--beta", "1"]) == 2
     monkeypatch.setenv("LYAPREC_THREADS", "abc")
     assert main(["simulate", "--n", "10", "--paths", "100"]) == 2

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lyaprec import simulate
 from lyaprec.errors import BudgetError, DomainError
 from lyaprec.variational import ModelParams, lyapunov, lyapunov_q
 from lyaprec.simulate import (
@@ -18,7 +19,7 @@ from lyaprec.simulate import (
     lln_check,
     simulate_paths,
 )
-from lyaprec.simulate import _chunk_rng, _chunk_sizes, _normal_cdf
+from lyaprec.simulate import _chunk_rng, _chunk_sizes, _normal_cdf, _simulate_chunk
 
 
 def test_spec_validation():
@@ -36,6 +37,22 @@ def test_spec_validation():
         NoiseSpec(kind="bogus")
     with pytest.raises(DomainError):
         NoiseSpec(kind="exponential", value=0.0)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", None, -1, 2 ** 64, np.int64(-3)])
+def test_spec_needs_64_bit_seed(seed):
+    with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\*\*64\)$"):
+        SimSpec(n=4, rho=0.2, sigma=0.1, seed=seed)
+
+
+def test_largest_seed_runs_and_differs_from_zero():
+    top = SimSpec(n=12, rho=0.2, sigma=0.1, paths=100, seed=2 ** 64 - 1)
+    assert estimate_moment(top) != estimate_moment(replace(top, seed=0))
+    assert estimate_moment(top) == estimate_moment(replace(top, seed=np.uint64(2 ** 64 - 1)))
+    # the LLN ladder's seeds seed + j wrap below 2**64, for a numpy seed too
+    ladder = lln_check(top, ladder=2)
+    assert ladder.rows[0][0] == 12
+    assert lln_check(replace(top, seed=np.uint64(2 ** 64 - 1)), ladder=2) == ladder
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -324,10 +341,15 @@ def _reference_paths(spec):
 
 _KINDS = [("none", 0.0), ("constant", 0.0), ("constant", 0.7),
           ("exponential", 1.5), ("uniform", 2.0)]
-# n = 70000 runs in 64-row chunks, so 130 paths end in a partial chunk
+# n = 2 is one column of draws; n = 12 with 20000 paths is the bench shape,
+# a 16384-row chunk in column-major blocks of 5957, 5957 and 4470 paths and a
+# partial chunk, all summed by row adds; n = 300 runs 2500 paths in blocks of
+# 219 paths and a last one of 91, summed by np.cumsum; and n = 70000 runs
+# one-path blocks in 64-row chunks, so 130 paths end in a partial chunk
 _ORACLE_CASES = [
     (n, rho, paths, kind, value)
-    for n, rho, paths in ((50, 0.2, 300), (50, 0.0, 300), (1, 0.3, 40))
+    for n, rho, paths in ((50, 0.2, 300), (50, 0.0, 300), (1, 0.3, 40), (2, 0.3, 300),
+                          (12, 0.2, 20000), (300, 0.2, 2500))
     for kind, value in _KINDS
 ] + [(70000, 0.2, 130, "none", 0.0), (70000, 0.2, 130, "exponential", 1.5)]
 
@@ -341,6 +363,22 @@ def test_closed_form_matches_step_recursion(n, rho, paths, kind, value):
     for name, g, w in zip(("log_x", "sum_log_a", "sum_b"), got, want):
         assert g.shape == (paths,)
         np.testing.assert_allclose(g, w, rtol=1e-13, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("kind,value", _KINDS)
+@pytest.mark.parametrize("n", [4, 12, 300])
+def test_running_sum_order_leaves_paths_unchanged(monkeypatch, n, kind, value):
+    # one 600-path block runs its running sums as row adds, 2-path blocks
+    # as np.cumsum down the columns; both add each path's terms in sequence
+    rows = 600
+    spec = SimSpec(n=n, rho=0.2, sigma=0.3 / math.sqrt(n), x0=1.3, paths=rows,
+                   seed=11, noise=NoiseSpec(kind, value))
+    monkeypatch.setattr(simulate, "_BLOCK", (n - 1) * rows)
+    row_adds = _simulate_chunk(spec, 3, rows, True)
+    monkeypatch.setattr(simulate, "_BLOCK", (n - 1) * 2)
+    cumsum = _simulate_chunk(spec, 3, rows, True)
+    for name, a, c in zip(("log_x", "sum_log_a", "sum_b"), row_adds, cumsum):
+        np.testing.assert_array_equal(a, c, err_msg=name)
 
 
 def _moment_without_warnings(rho, sigma=0.3, **kwargs):
