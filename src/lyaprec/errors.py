@@ -61,12 +61,15 @@ class NumericsError(RuntimeError):
 
 
 class AccuracyError(NumericsError):
-    """The boundary kernel's 15-point Gauss-Kronrod rule and its embedded
-    7-point Gauss check disagree by more than 1e-6 relative.
+    """A computed value fails its own accuracy check: the boundary
+    kernel's 15-point Gauss-Kronrod rule and its embedded 7-point Gauss
+    check disagree by more than 1e-6 relative, or (stage "bounds") a
+    growth rate lies outside its rigorous bounds by more than a few ulp.
 
-    Carries the Kronrod value as the best available estimate and the
-    difference of the two rules as its error bound, so callers can
-    decide whether the partial answer is still usable.
+    Carries the value as the best available estimate and, as its error
+    bound, the difference of the two rules or the bound guard's
+    allowance, so callers can decide whether the partial answer is still
+    usable.
     """
 
     def __init__(self, message: str, best_estimate: float, error_bound: float):

@@ -131,10 +131,14 @@ def _boundary_kernels(b, rho, rows=3):
     the odd nodes is the embedded check of every row returned:
     AccuracyError if the two differ by more than 1e-6 relative and by more
     than subnormal rounding, with the position of the first such b as its
-    index. Each row is computed only where asked. The rows of all b share
-    one matrix product (BLAS gemm), whose sums can round differently with
-    its row count, so a value may differ in the last bits with the number
-    of rows asked and with the other b of the call.
+    index (in b order). Each row is computed only where asked, and laid
+    out whole: row i of the integrand holds the i-th kernel returned at
+    every b. The rows of all b share one matrix product (BLAS gemm), whose
+    sums can round differently with its row count, so a value may differ
+    in the last bits with the number of rows asked and with the other b of
+    the call. On the fold-scan shape (32 log-spaced b on [rho/16, 256]),
+    rows=2 and rows=3 give the same K0 and dK0/db bits, for rho from
+    1e-100 to 2; for other calls at several b they can differ.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     b_max = float(b.max())
@@ -144,37 +148,25 @@ def _boundary_kernels(b, rho, rows=3):
         exc.index = int(np.argmax(b))
         raise exc
     neg_w, u2, weights = _kernel_rule(_kernel_doublings(b_max, rho))
-    # 1/D, u^2/D, -w*E/D^2 (the integrand of dK0/db) and b^2 times the
-    # integrand of the second derivative, each a row of the gemm's matrix;
-    # rows=2 leaves out u^2/D. The gemm's sum for a row can change with its
-    # place in the matrix where the row count is not a multiple of the BLAS
-    # block, so rows 3 and 4 (the solvers' calls at a few b) interleave the
-    # rows of each b, in this order. rows=1 and 2 lay each row out whole,
-    # so the steps below run on contiguous blocks: the fold scan's 32
-    # points take half the time, and their K0 and dK0/db keep the bits of
-    # a three-row call (checked for rho down to 1e-100; further down, past
-    # about 5000 nodes, the blocking can round them differently)
+    # row i of raw holds the integrand of the i-th kernel returned at every
+    # b and node: 1/D, -w*E/D^2 (the integrand of dK0/db), u^2/D and b^2
+    # times the integrand of the second derivative
     n = neg_w.size
-    if rows < 3:
-        raw = np.empty((rows, b.size, n))
-        buf = raw.transpose(1, 0, 2)
-    else:
-        raw = buf = np.empty((b.size, rows, n))
-    at = (0, 2, 1, 3) if rows > 2 else (0, 1)
-    inv = buf[:, 0]
+    raw = np.empty((rows, b.size, n))
+    inv = raw[0]
     np.multiply.outer(b, neg_w, out=inv)
     np.expm1(inv, out=inv)
     if rows > 1:
-        slope = buf[:, at[1]]
+        slope = raw[1]
         np.add(inv, 1.0, out=slope)
     np.subtract(rho, inv, out=inv)
     np.reciprocal(inv, out=inv)
     if rows > 2:
-        np.multiply(inv, u2, out=buf[:, 1])
+        np.multiply(inv, u2, out=raw[2])
     if rows > 3:
         # -b*w*(1 + 2E/D), at most about 5 in size where b is near rho,
         # times -b*w*E/D^2 below
-        curv = buf[:, 3]
+        curv = raw[3]
         np.multiply(slope, inv, out=curv)
         curv *= 2.0
         curv += 1.0
@@ -186,11 +178,9 @@ def _boundary_kernels(b, rho, rows=3):
     if rows > 3:
         curv *= slope
         curv *= b[:, None]
-    vals = (raw.reshape(-1, n) @ weights).reshape(raw.shape[:2] + (2,))
-    if rows < 3:
-        vals = vals.transpose(1, 0, 2)
-    fine = vals[:, :, 0]
-    err = np.abs(fine - vals[:, :, 1])
+    vals = (raw.reshape(-1, n) @ weights).reshape(rows, b.size, 2)
+    fine = vals[..., 0]
+    err = np.abs(fine - vals[..., 1])
     bad = err > 1e-6 * np.abs(fine)
     if np.count_nonzero(bad):
         # dK0 falls to about -1/(2b^2), subnormal for b from about 1e154
@@ -199,15 +189,16 @@ def _boundary_kernels(b, rho, rows=3):
         # node without any layer being unresolved
         bad &= err > n * _SUBNORMAL
         if bad.any():
-            i = tuple(np.argwhere(bad)[0])
+            # the first offending b, and its first offending row
+            j, i = np.argwhere(bad.T)[0].tolist()
             exc = AccuracyError(
-                "boundary kernel rules disagree at b=%r" % float(b[i[0]]),
-                best_estimate=float(fine[i]),
-                error_bound=float(err[i]),
+                "boundary kernel rules disagree at b=%r" % float(b[j]),
+                best_estimate=float(fine[i, j]),
+                error_bound=float(err[i, j]),
             )
-            exc.index = int(i[0])
+            exc.index = j
             raise exc
-    return tuple(fine[:, i] for i in at[:rows])
+    return tuple(fine)
 
 
 def _k1_difference(rho, b1, b2, step):

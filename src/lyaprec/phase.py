@@ -763,7 +763,8 @@ def critical_jump_constants(critical):
 
 
 # Empirical ceilings for the asymptotics flags, with generous headroom:
-# the scaled expansion gap tends to Li2(1/(1+rho))/(2(1+rho)) <= pi^2/12,
+# the scaled expansion gap tends to r*Li2(r)/4 <= pi^2/24, with
+# r = 1/(1+rho) (the large-argument series of the correction integral),
 # and the scaled cubic defect to a comparable constant.
 _SCALED_GAP_CEILING = 1.0
 _CUBIC_PRODUCT_CEILING = 2.0

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, NumericsError, _check_q1, _check_rho, _stage
+from .errors import (AccuracyError, DomainError, EvaluationError, NumericsError, _check_q1,
+                     _check_rho, _stage)
 from .numerics import (
     _KERNEL_FIRST,
     _KERNEL_WEIGHTS,
@@ -669,7 +670,8 @@ def lyapunov(params):
     one-element row of _solve_row, which solves many beta at one rho with
     one fold scan and one Newton solve. A NumericsError names the stage ("fold
     search", "root refinement" or "branch values") and the (rho, beta)
-    at which it arose.
+    at which it arose; a value outside its rigorous bounds raises
+    AccuracyError under the stage "bounds" (_select).
     """
     _check_q1(params)
     return _solve_row(params.rho, [params.beta])[0]
@@ -693,24 +695,41 @@ def _solve_row(rho, betas, q=1):
         h1 = inverse_softplus(beta_q * d ** 2 + math.log1p(rho))
         for j, a, x, v in zip(owner.tolist(), h1.tolist(), d.tolist(), values.tolist()):
             found[j].append(Branch(h1=a, d=x, lambda_value=v))
-    return [_select(rho, beta, branches) if beta > 0 else _beta_zero(rho)
-            for beta, branches in zip((q * betas).tolist(), found)]
+    return [_select(rho, beta, branches, q) if beta > 0 else _beta_zero(rho)
+            for beta, branches in zip(betas.tolist(), found)]
 
 
-def _select(rho, beta, branches):
-    """The result at (rho, beta) from its branches: the best value, the
-    larger-d branch where two values tie to _TIE_RTOL."""
+# allowance of the bound guard, relative to the largest term of the bounds
+_BOUNDS_RTOL = 8.0 * float(np.finfo(float).eps)
+
+
+def _select(rho, beta, branches, q=1):
+    """The result at (rho, q*beta) from its branches: the best value, the
+    larger-d branch where two values tie to _TIE_RTOL. The value must lie
+    within its rigorous bounds, max(log(1+rho), q*beta/3 + log(rho)) below
+    (the constant profile, and the sandwich) and q*beta/3 + log(1+rho)
+    above, to tol = 8 eps times the largest of q*beta, |log(rho)| and the
+    value; else AccuracyError, with the value as best_estimate and tol as
+    error_bound, names the stage "bounds" and (rho, beta, q)."""
+    beta_q = q * beta
     best_value = max(b.lambda_value for b in branches)
     tie_tol = _TIE_RTOL * max(1.0, abs(best_value))
     contenders = [b for b in branches if best_value - b.lambda_value <= tie_tol]
     selected = max(contenders, key=lambda b: b.d)
     lam = selected.lambda_value
+    lr, l1 = math.log(rho), math.log1p(rho)
+    tol = _BOUNDS_RTOL * max(beta_q, abs(lr), abs(lam))
+    lower, upper = max(l1, beta_q / 3.0 + lr), beta_q / 3.0 + l1
+    if not lower - tol <= lam <= upper + tol:
+        with _stage("bounds", rho, beta, q):
+            raise AccuracyError("lambda=%r lies outside its bounds [%r, %r]" % (lam, lower, upper),
+                                best_estimate=lam, error_bound=tol)
     return LyapunovResult(
         lambda_=lam,
         selected=selected,
         all_branches=branches,
         dlambda_drho=selected.d / rho,
-        dlambda_dbeta=0.5 * (beta * selected.d ** 2 + math.log1p(rho) - lam) / beta,
+        dlambda_dbeta=0.5 * (beta_q * selected.d ** 2 + l1 - lam) / beta_q,
         tie=len(contenders) > 1,
     )
 

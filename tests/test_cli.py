@@ -183,6 +183,17 @@ def test_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rho", ["1e-155", "1e-160"])
+def test_values_outside_their_bounds_exit_4(capsys, rho):
+    # the kernel overflows at these amplitudes and the solve lands below
+    # log(1+rho); the bound guard turns the wrong row into an error
+    assert main(["lyapunov", "--rho", rho, "--beta", "900"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bounds at rho=%s, beta=900.0: " % rho)
+
+
 @pytest.mark.parametrize("rho", ["0", "nan", "inf"])
 def test_bigf_rejects_bad_amplitudes(capsys, rho):
     assert main(["bigf", "--rho", rho]) == 2

@@ -11,7 +11,7 @@ from scipy import special
 from scipy.special import zeta
 
 from lyaprec import numerics
-from lyaprec.errors import DomainError
+from lyaprec.errors import AccuracyError, DomainError
 from lyaprec.numerics import (
     _boundary_kernels,
     _kernel_rule,
@@ -22,7 +22,7 @@ from lyaprec.numerics import (
     softplus,
     softplus_diff,
 )
-from lyaprec.variational import entropy_I
+from lyaprec.variational import _FOLD_GRID, entropy_I
 
 
 # (rho, b, K0, K1, dK0/db) from 50-digit mpmath quadrature of the u form,
@@ -122,8 +122,8 @@ def _boundary_kernels_uncached(b, rho):
     layer = v * (2.0 - v)
     weights = np.multiply.outer(scale, numerics._KERNEL_WEIGHTS).reshape(-1, 2)
     n = v.size
-    buf = np.empty((b.size, 3, n))
-    inv, inv_u2, slope = buf[:, 0], buf[:, 1], buf[:, 2]
+    buf = np.empty((3, b.size, n))
+    inv, slope, inv_u2 = buf
     np.multiply.outer(b, -layer, out=slope)
     np.expm1(slope, out=slope)
     np.subtract(rho, slope, out=inv)
@@ -133,9 +133,9 @@ def _boundary_kernels_uncached(b, rho):
     slope *= layer
     slope *= inv
     slope *= inv
-    vals = (buf.reshape(-1, n) @ weights).reshape(b.size, 3, 2)
-    vals[:, 2] *= -1.0
-    return vals[:, 0, 0], vals[:, 2, 0], vals[:, 1, 0]
+    vals = (buf.reshape(-1, n) @ weights).reshape(3, b.size, 2)
+    vals[1] *= -1.0
+    return vals[0, :, 0], vals[1, :, 0], vals[2, :, 0]
 
 
 def test_boundary_kernels_cached_rule_is_bit_identical():
@@ -150,6 +150,28 @@ def test_boundary_kernels_cached_rule_is_bit_identical():
             want = _boundary_kernels_uncached(arg, rho)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("rows,index", [(1, 2), (2, 2), (3, 2), (4, 1)])
+def test_boundary_kernels_error_names_the_first_offending_b(monkeypatch, rows, index):
+    # one doubling panel cannot resolve the layer at b = 500; at b = 0.2
+    # only the b^2*K0'' row of rows=4 fails its Gauss check
+    monkeypatch.setattr(numerics, "_kernel_doublings", lambda b_max, rho: 1)
+    with pytest.raises(AccuracyError) as info:
+        _boundary_kernels([0.1, 0.2, 500.0, 0.3], 0.1, rows=rows)
+    assert info.value.index == index
+    if index == 2:
+        assert info.value.best_estimate == pytest.approx(0.90972, rel=1e-5)
+
+
+def test_fold_scan_rows_keep_the_bits_of_three_rows():
+    # on the fold-scan shape, K0 and dK0/db of rows=2 are those of rows=3
+    # bit for bit
+    rng = np.random.default_rng(5)
+    for rho in 10.0 ** rng.uniform(-100.0, math.log10(2.0), 400):
+        b = rho / 16.0 * (16.0 * 256.0 / rho) ** _FOLD_GRID
+        two, three = _boundary_kernels(b, rho, rows=2), _boundary_kernels(b, rho, rows=3)
+        assert np.array_equal(two[0], three[0]) and np.array_equal(two[1], three[1])
 
 
 def test_kernel_rule_is_read_only():

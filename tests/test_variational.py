@@ -687,6 +687,61 @@ def test_fold_scan_overflow_names_stage(rho):
     assert (info.value.stage, info.value.rho, info.value.beta) == ("fold search", rho, 5.0)
 
 
+# Below rho of about 1e-155 the kernel's dK0/db row overflows, the fold
+# scan loses the hump, and the solve lands on a negative value inside the
+# window, although lambda >= log(1+rho) always holds: the bound guard
+# refuses it. The overflow still warns, which these tests let pass.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rho,beta", [(1e-155, 900.0), (1e-160, 900.0),
+                                      (1e-180, 1000.0), (1e-200, 1000.0)])
+def test_values_outside_their_bounds_raise(rho, beta):
+    with pytest.raises(AccuracyError) as info:
+        lyapunov(ModelParams(rho, beta))
+    exc = info.value
+    assert (exc.stage, exc.rho, exc.beta, exc.q) == ("bounds", rho, beta, 1)
+    assert exc.best_estimate < 0.0 < exc.error_bound
+    assert str(exc).startswith("bounds at rho=%r, beta=%r: lambda=" % (rho, beta))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_moment_order_bounds_error_names_q():
+    # the q = 1 rate at (1e-160, 2*450) is the wrong value above
+    with pytest.raises(AccuracyError) as info:
+        lyapunov_q(ModelParams(1e-160, 450.0, q=2))
+    exc = info.value
+    assert (exc.stage, exc.rho, exc.beta, exc.q) == ("bounds", 1e-160, 450.0, 2)
+    assert str(exc).startswith("bounds at rho=1e-160, beta=450.0, q=2: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("beta,lam", [(1.0, 1e-160), (5000.0, 1305.2162876223479)])
+def test_tiny_rho_values_inside_their_bounds_answer(beta, lam):
+    # non-finite fold-scan nodes alone do not make a value wrong
+    assert lyapunov(ModelParams(1e-160, beta)).lambda_ == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e-8, 1e-3, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("beta", [1e171, 1e200, 1e250, 1e300, 1.7e308])
+def test_huge_beta_values_pass_the_bound_guard(rho, beta):
+    # the value sits up to about 1.6e-16*beta below beta/3 + log(rho),
+    # inside the guard's allowance of 8 eps*beta
+    lam = lyapunov(ModelParams(rho, beta)).lambda_
+    tol = 8.0 * np.finfo(float).eps * beta
+    assert beta / 3.0 + math.log(rho) - tol <= lam <= beta / 3.0 + math.log1p(rho) + tol
+
+
+def test_grid_domain_draws_pass_the_bound_guard():
+    # the benchmark grid's domain: rho from 1e-8 to 0.5, beta up to 20, q
+    # up to 3; every draw answers
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        rho = float(10.0 ** rng.uniform(-8.0, math.log10(0.5)))
+        beta = float(rng.uniform(0.0, 20.0))
+        q = int(rng.integers(1, 4))
+        lam = lyapunov_q(ModelParams(rho, beta, q))
+        assert q * math.log1p(rho) <= lam * (1.0 + 1e-15), (rho, beta, q)
+
+
 def test_beta_zero_closed_form():
     for rho in (0.01, 0.5, 5.0):
         res = lyapunov(ModelParams(rho, 0.0))
