@@ -160,7 +160,8 @@ def _boundary_kernels(b, rho, rows=3):
         slope = raw[1]
         np.add(inv, 1.0, out=slope)
     np.subtract(rho, inv, out=inv)
-    np.reciprocal(inv, out=inv)
+    # one correctly rounded division, as np.reciprocal, on numpy's SIMD loop
+    np.divide(1.0, inv, out=inv)
     if rows > 2:
         np.multiply(inv, u2, out=raw[2])
     if rows > 3:

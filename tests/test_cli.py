@@ -73,6 +73,7 @@ GOLDEN_CASES = [
         ],
     ),
     ("critical.json", ["critical", "--format", "json"]),
+    ("critical_meanfield.json", ["critical", "--model", "meanfield", "--format", "json"]),
     (
         "phase_small.csv",
         ["phase", "--rho", "0.04,0.07,0.1", "--format", "csv"],

@@ -61,13 +61,15 @@ def test_meanfield_critical_digits(mf_crit):
     assert mf_crit.a_c == pytest.approx(0.5, abs=1e-6)
 
 
+# the flat-profile hooks spelled out as the benchmark's copy of this finder has them
+MF_HOOKS = dict(beta_level=mf_beta_level, d_map=lambda a, rho, beta: a,
+                a_domain=lambda rho: (0.02, 0.98), fd_step=0.005)
+
+
 def test_mf_critical_point_is_the_flat_profile_finder(mf_crit):
-    # the hooks spelled out as the benchmark's copy of this finder has them
-    hooks = dict(beta_level=mf_beta_level, d_map=lambda a, rho, beta: a,
-                 a_domain=lambda rho: (0.02, 0.98), fd_step=0.005)
-    assert mf_crit == locate_critical_point(**hooks)
+    assert mf_crit == locate_critical_point(**MF_HOOKS)
     assert mf_critical_point((0.1, 0.2)) == locate_critical_point(
-        rho_bracket=(0.1, 0.2), **hooks)
+        rho_bracket=(0.1, 0.2), **MF_HOOKS)
 
 
 @pytest.mark.parametrize("beta", [6.5, 8.0, 12.0, 30.0])
@@ -112,8 +114,9 @@ def _no_window(rho):
 
 
 def _plain_endpoint(monkeypatch, **kwargs):
-    # the finder with a fold scan that reports no window, once its slope
-    # scans are checked to be the plain bisection's, rho for rho
+    # the finder with window tests that report no window, once its slope
+    # scans are checked to be the plain bisection's, rho for rho; returns
+    # the endpoint and the number of slope scans
     scans, found = [], {}
     min_slope = phase._min_slope
 
@@ -124,6 +127,7 @@ def _plain_endpoint(monkeypatch, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(phase, "_folds", _no_window)
+        m.setattr(phase, "_mf_window", lambda rho: False)
         m.setattr(phase, "_min_slope", recorded)
         got = locate_critical_point(**kwargs)
     asked = []
@@ -134,7 +138,22 @@ def _plain_endpoint(monkeypatch, **kwargs):
 
     _plain_bisection(replay, kwargs.get("rho_bracket", (0.05, 0.3)))
     assert scans == asked
-    return got
+    return got, len(scans)
+
+
+def _slope_scans(monkeypatch, finder, **kwargs):
+    # the finder's result, and the number of slope scans it ran
+    calls = []
+    min_slope = phase._min_slope
+
+    def counted(*args):
+        calls.append(args[1])
+        return min_slope(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(phase, "_min_slope", counted)
+        got = finder(**kwargs)
+    return got, len(calls)
 
 
 def _exact_min_slope(rho):
@@ -206,47 +225,69 @@ def test_endpoint_from_other_brackets(bracket, crit):
 
 @pytest.mark.parametrize("bracket", [(0.05, 0.3)] + OTHER_BRACKETS)
 def test_fold_scan_steps_match_plain_bisection(monkeypatch, bracket):
-    # the slope-scan bisection starts from a bracket on the plain one's
+    # the slope-scan bisection starts from brackets on the plain one's
     # path, so every field of the endpoint is the plain bisection's, bit
     # for bit
-    assert locate_critical_point(rho_bracket=bracket) == _plain_endpoint(
-        monkeypatch, rho_bracket=bracket)
+    got, scans = _slope_scans(monkeypatch, locate_critical_point, rho_bracket=bracket)
+    plain, plain_scans = _plain_endpoint(monkeypatch, rho_bracket=bracket)
+    assert got == plain
+    assert scans <= plain_scans
 
 
-@pytest.mark.parametrize("fd_step", [0.01, 0.03, 0.05])
+@pytest.mark.parametrize("bracket", [
+    b for b in [(0.05, 0.3)] + OTHER_BRACKETS if b[0] < math.exp(-2.0) < b[1]])
+def test_flat_profile_window_matches_plain_bisection(monkeypatch, bracket):
+    # the closed-form window test of mf_beta_level walks the same path
+    got, scans = _slope_scans(monkeypatch, mf_critical_point, rho_bracket=bracket)
+    plain, plain_scans = _plain_endpoint(monkeypatch, rho_bracket=bracket, **MF_HOOKS)
+    assert got == plain
+    assert scans <= plain_scans
+
+
+@pytest.mark.parametrize("fd_step", [0.01, 0.03, 0.05, 0.1, 0.2])
 @pytest.mark.parametrize("bracket", [(0.05, 0.3), (0.1232, 0.1234)])
 def test_fold_scan_matches_plain_bisection_at_other_steps(monkeypatch, bracket, fd_step):
-    # the finite-difference crossing moves with fd_step, and may leave
-    # the fold bracket: the bisection then starts from rho_bracket
+    # the finite-difference crossing moves with fd_step, away from the
+    # fold scan's: the finder climbs the path to where they part
     kwargs = dict(rho_bracket=bracket, fd_step=fd_step)
-    assert locate_critical_point(**kwargs) == _plain_endpoint(monkeypatch, **kwargs)
+    got, scans = _slope_scans(monkeypatch, locate_critical_point, **kwargs)
+    plain, plain_scans = _plain_endpoint(monkeypatch, **kwargs)
+    assert got == plain
+    assert scans <= plain_scans
 
 
-def test_fold_scan_leaves_few_slope_scans(monkeypatch):
-    calls, points = [], []
-    min_slope, scan = phase._min_slope, phase.big_F_scan
-
-    def counted_min_slope(*args, **kwargs):
-        calls.append(1)
-        return min_slope(*args, **kwargs)
+def _scan_counts(monkeypatch, finder):
+    # slope scans and big_F_scan points of one finder call
+    points = []
+    scan = phase.big_F_scan
 
     def counted_scan(a_values, rho):
         points.append(np.size(a_values))
         return scan(a_values, rho)
 
-    monkeypatch.setattr(phase, "_min_slope", counted_min_slope)
     monkeypatch.setattr(phase, "big_F_scan", counted_scan)
-    locate_critical_point()
+    _, scans = _slope_scans(monkeypatch, finder)
+    return scans, sum(points)
+
+
+def test_fold_scan_leaves_few_slope_scans(monkeypatch):
+    scans, points = _scan_counts(monkeypatch, locate_critical_point)
     # the plain bisection takes 30 slope scans and 133,108 scan points
-    assert len(calls) <= 6
-    assert sum(points) <= 45000
+    assert scans <= 2
+    assert points <= 17000
+
+
+def test_flat_profile_window_leaves_few_slope_scans(monkeypatch):
+    # the plain bisection takes 30 slope scans
+    scans, _ = _scan_counts(monkeypatch, mf_critical_point)
+    assert scans <= 8
 
 
 @pytest.mark.parametrize("shift", [1e-5, -1e-5, 3e-7, -3e-7, 5e-8, -5e-8])
-def test_misplaced_fold_scan_falls_back(monkeypatch, crit, shift):
+def test_misplaced_fold_scan_climbs(monkeypatch, crit, shift):
     # a fold scan whose crossing lies off the finite-difference one: the
-    # slope scan disputes an end of the fold bracket, and the bisection
-    # starts from rho_bracket
+    # slope scan disputes an end of the final bracket, and the finder
+    # climbs the path to a bracket that straddles the crossing
     fake_c = crit.rho_c * (1.0 + shift)
 
     def fake_folds(rho):
