@@ -164,9 +164,6 @@ _COMMAND_OPTIONS = {
     ],
 }
 
-_COMMANDS = ("lyapunov", "bigf", "phase", "critical", "meanfield",
-             "simulate", "exponent", "appendixb")
-
 
 @functools.cache
 def _build_parser():
@@ -177,9 +174,9 @@ def _build_parser():
         description="Growth-rate solver for the fixed-beta moment recursion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, options in _COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
-        for dest, conv, _default, is_flag, help_text in _COMMAND_OPTIONS[name]:
+        for dest, conv, _default, is_flag, help_text in options:
             flag = "--" + dest.replace("_", "-")
             if is_flag:
                 p.add_argument(flag, dest=dest, action="store_true",
@@ -263,16 +260,6 @@ def _real(x):
     return format(float(x), ".17g")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError("not JSON serializable: %r" % (obj,))
-
-
 def _emit_table(rc, columns, rows, **extra):
     """CSV, or a JSON record whose keys in extra come before the table."""
     if rc.format == "csv":
@@ -285,20 +272,14 @@ def _emit_table(rc, columns, rows, **extra):
                  for v in row]
             )
         return buf.getvalue()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": rc.command,
-        **extra,
-        "columns": list(columns),
-        "rows": [list(r) for r in rows],
-    }
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+    return _emit_record(
+        rc, {**extra, "columns": list(columns), "rows": [list(r) for r in rows]}
+    )
 
 
 def _emit_record(rc, record):
-    payload = {"schema_version": SCHEMA_VERSION, "command": rc.command}
-    payload.update(record)
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+    payload = {"schema_version": SCHEMA_VERSION, "command": rc.command, **record}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _endpoint(crit):
@@ -550,8 +531,11 @@ def _write_output(text, out_path):
         sys.stdout.write(text)
         return
     # newline="" so csv's \r\n endings survive on every platform
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError("cannot write output: %s" % exc)
 
 
 def main(argv=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError, _check_rho, _stage
-from .meanfield import mf_beta_level, mf_gap
+from .meanfield import MF_CURVE_RHO_MAX, mf_beta_level, mf_gap
 from .numerics import (
     _NODES7,
     _WEIGHTS7,
@@ -181,8 +181,8 @@ def _fold_window(rho):
 
 def _mf_window(rho):
     """Does mf_beta_level fold at rho? Its slope in a vanishes twice in
-    (0, 1) exactly where 2 + log(rho) < 0, below rho = e^-2."""
-    return 2.0 + math.log(rho) < 0
+    (0, 1) exactly below rho = e^-2, where 2 + log(rho) < 0."""
+    return rho < MF_CURVE_RHO_MAX
 
 
 def _path(below, rho_bracket):

@@ -108,6 +108,22 @@ def test_stdout_matches_file_output(capsys):
     assert out.encode() == (GOLDEN / "meanfield_small.csv").read_bytes()
 
 
+# JSON modes that no golden file covers: each value must be a plain
+# Python number, bool or None for json.dumps to take it
+@pytest.mark.parametrize("argv", [
+    ["exponent"],
+    ["simulate", "--lln"],
+    ["simulate", "--clt"],
+    ["simulate", "--noise", "exponential", "--noise-value", "1"],
+    ["bigf", "--format", "json"],
+    ["meanfield", "--format", "json"],
+], ids=" ".join)
+def test_json_modes_serialise(tmp_path, argv):
+    code, data = _run(argv, tmp_path, "out.json")
+    assert code == 0
+    assert json.loads(data)["command"] == argv[0]
+
+
 def test_csv_line_endings(tmp_path):
     _, data = _run(["bigf", "--rho", "0.2", "--points", "3"], tmp_path, "b.csv")
     assert data.count(b"\r\n") == 4  # header + 3 rows
@@ -154,7 +170,13 @@ def test_exact_at_budget_edge(tmp_path):
     assert json.loads(data)["estimate"]["paths_used"] == 2 ** 11584
 
 
-def test_exit_codes(monkeypatch, capsys):
+def test_exit_codes(monkeypatch, capsys, tmp_path):
+    # an --out that cannot be opened: one error line, and nothing written
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["lyapunov", "--rho", "0.5", "--beta", "0", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert not missing.parent.exists()
     assert main(["simulate", "--n", "11585", "--exact"]) == 3
     assert main(["simulate", "--n", "0"]) == 2
     assert main(["critical", "--rho-lo", "0.3", "--rho-hi", "0.2"]) == 2
