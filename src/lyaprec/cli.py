@@ -5,7 +5,7 @@ simulators as machine-readable tables (CSV, RFC-4180 line endings, 17
 significant digits) or JSON records (top-level "schema_version").
 Outputs are deterministic: re-running a command with the same flags and
 seed produces byte-identical bytes, and the moment estimator's result
-does not depend on --threads.
+does not depend on --threads, which defaults to one worker per CPU.
 
 Exit codes: 0 success, 2 usage or validation error, 3 resource budget
 exceeded, 4 numerical failure.
@@ -66,7 +66,7 @@ class RunConfig:
     format: str
     out: str | None
     seed: int
-    threads: int
+    threads: int | None
     options: dict
 
 
@@ -192,7 +192,9 @@ def _build_parser():
         p.add_argument("--seed", dest="seed", type=int, default=None,
                        help="random seed (simulation commands)")
         p.add_argument("--threads", dest="threads", type=int, default=None,
-                       help="worker threads (default %s or 1)" % THREADS_ENV_VAR)
+                       help="Monte Carlo worker threads; same output for any "
+                            "count (default %s, else one per CPU, at most one "
+                            "per chunk of paths)" % THREADS_ENV_VAR)
         p.add_argument("--config", dest="config", default=None,
                        help="key=value file supplying defaults for any flag")
     return parser
@@ -244,13 +246,14 @@ def _resolve(args):
         raise DomainError("the %s command emits JSON only" % command)
     out = pick("out", str, None)
     seed = pick("seed", int, 0)
+    # None leaves the count to estimate_moment: one worker per CPU
     threads = pick("threads", int, None)
-    if threads is None:
+    if threads is None and os.environ.get(THREADS_ENV_VAR):
         try:
-            threads = int(os.environ.get(THREADS_ENV_VAR) or 1)
+            threads = int(os.environ[THREADS_ENV_VAR])
         except ValueError as exc:
             raise DomainError("%s: %s" % (THREADS_ENV_VAR, exc))
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise DomainError("threads must be >= 1")
     return RunConfig(command=command, format=fmt, out=out, seed=seed,
                      threads=threads, options=options)

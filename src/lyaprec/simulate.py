@@ -11,7 +11,9 @@ cross-checked against. The exact moment costs O(n^2 q^2), so
 Reproducibility contract: path chunks draw from independent
 counter-based substreams keyed by (seed, chunk index), and chunk sizing
 depends only on n, so results are bit-identical regardless of how many
-worker threads reduce the chunks.
+worker threads reduce the chunks. estimate_moment runs one worker per
+CPU the process may use by default, never more than there are chunks,
+and threads=1 runs the chunks in turn on the calling thread.
 
 Each chunk draws all of its random numbers first, the (rows, n-1)
 normals and then the (rows, n) exponentials or uniforms, and runs in
@@ -39,6 +41,7 @@ bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -312,22 +315,42 @@ def _moment_chunk(spec, chunk_index, rows):
     return lse1, lse2, 0
 
 
-def estimate_moment(spec, threads=1):
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def estimate_moment(spec, threads=None):
     """Monte Carlo estimate of log E[x_n^q] with its log-scale stderr.
 
-    Accumulation is log-sum-exp throughout; the per-chunk partial sums
-    are combined in chunk order, so the result is independent of the
-    thread count used to compute them.
+    threads=None runs one worker thread per CPU the process may use;
+    an integer >= 1 sets the count. Either way there are never more
+    workers than chunks, and one worker runs the chunks in turn on the
+    calling thread. Each worker holds one chunk's draws at a time: up
+    to about 2^22 doubles of normals, and as many again with random
+    noise. Accumulation is log-sum-exp throughout; the per-chunk partial
+    sums are combined in chunk order, so the result is the threads=1
+    result bit for bit.
     """
+    if threads is None:
+        threads = _available_cpus()
+    elif (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+          or threads < 1):
+        raise DomainError("threads must be None or an integer >= 1")
     if spec.paths < 2:
         raise DomainError("need at least 2 paths for a variance estimate")
     sizes = _chunk_sizes(spec)
+    workers = min(int(threads), len(sizes))
 
     def work(i):
         return _moment_chunk(spec, i, sizes[i])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, range(len(sizes))))
     else:
         results = [work(i) for i in range(len(sizes))]

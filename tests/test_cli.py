@@ -361,20 +361,26 @@ def test_config_file_precedence(tmp_path):
 
 
 def test_threads_do_not_change_output(monkeypatch, tmp_path):
+    # 40000 paths at n = 12 are 3 chunks, so the default and --threads 4
+    # run more than one worker
     base = [
         "simulate",
-        "--n", "20",
+        "--n", "12",
         "--rho", "0.2",
         "--beta", "1.0",
-        "--paths", "3000",
+        "--paths", "40000",
         "--seed", "4",
+        "--noise", "exponential",
+        "--noise-value", "1",
     ]
-    code1, d1 = _run(base, tmp_path, "t1.json")
+    monkeypatch.delenv("LYAPREC_THREADS", raising=False)
+    code0, d0 = _run(base, tmp_path, "t0.json")
+    code1, d1 = _run(base + ["--threads", "1"], tmp_path, "t1.json")
     code2, d2 = _run(base + ["--threads", "4"], tmp_path, "t2.json")
     monkeypatch.setenv("LYAPREC_THREADS", "3")
     code3, d3 = _run(base, tmp_path, "t3.json")
-    assert code1 == code2 == code3 == 0
-    assert d1 == d2 == d3
+    assert code0 == code1 == code2 == code3 == 0
+    assert d0 == d1 == d2 == d3
 
 
 def test_rerun_is_byte_identical(tmp_path):

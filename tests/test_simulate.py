@@ -234,15 +234,69 @@ def test_estimator_needs_two_paths():
 
 
 def test_determinism_and_thread_invariance():
+    # 4 chunks: the default runs one worker per CPU, and every count
+    # gives the threads=1 result bit for bit
     base = SimSpec(n=37, rho=0.3, sigma=0.12, paths=50000, seed=99)
-    for kind, value in (("none", 0.0), ("constant", 0.8), ("exponential", 0.8),
-                        ("uniform", 0.8)):
-        s = replace(base, noise=NoiseSpec(kind, value))
+    assert len(_chunk_sizes(base)) == 4
+    for q, (kind, value) in itertools.product(
+            (1, 2), (("none", 0.0), ("constant", 0.8), ("exponential", 0.8),
+                     ("uniform", 0.8))):
+        s = replace(base, q=q, noise=NoiseSpec(kind, value))
         a = estimate_moment(s)
         b = estimate_moment(s)
         c = estimate_moment(s, threads=4)
-        assert a.log_moment == b.log_moment == c.log_moment, kind
-        assert a.stderr_log == c.stderr_log, kind
+        d = estimate_moment(s, threads=1)
+        assert a == b == c == d, (q, kind)
+
+
+@pytest.mark.parametrize("threads", [0, -2, 2.5, True, "2"])
+def test_estimator_refuses_bad_thread_counts(threads):
+    with pytest.raises(DomainError, match="threads"):
+        estimate_moment(SimSpec(n=4, rho=0.2, sigma=0.1, paths=64), threads=threads)
+
+
+def test_one_worker_builds_no_executor(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("no pool expected")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
+    one_chunk = SimSpec(n=12, rho=0.2, sigma=0.1, paths=10000, seed=5)
+    assert len(_chunk_sizes(one_chunk)) == 1
+    ref = estimate_moment(one_chunk)
+    assert estimate_moment(one_chunk, threads=4) == ref
+    # many chunks, but one worker
+    many = replace(one_chunk, paths=40000)
+    ref = estimate_moment(many, threads=1)
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
+    assert estimate_moment(many) == ref
+
+
+def test_default_workers_follow_cpus_and_chunks(monkeypatch):
+    # one worker per available CPU, but never more than there are chunks
+    sizes = []
+    pool = simulate.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 3)
+    two = SimSpec(n=12, rho=0.2, sigma=0.1, paths=20000, seed=5)
+    five = replace(two, paths=70000)
+    assert [len(_chunk_sizes(s)) for s in (two, five)] == [2, 5]
+    estimate_moment(two)
+    estimate_moment(five)
+    estimate_moment(five, threads=np.int64(4))
+    assert sizes == [2, 3, 4]
+
+
+def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 6)
+    assert simulate._available_cpus() == 6
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert simulate._available_cpus() == 1
 
 
 def test_chunking_covers_all_paths():
