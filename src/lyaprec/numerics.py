@@ -136,9 +136,11 @@ def _boundary_kernels(b, rho, rows=3):
     every b. The rows of all b share one matrix product (BLAS gemm), whose
     sums can round differently with its row count, so a value may differ
     in the last bits with the number of rows asked and with the other b of
-    the call. On the fold-scan shape (32 log-spaced b on [rho/16, 256]),
-    rows=2 and rows=3 give the same K0 and dK0/db bits, for rho from
-    1e-100 to 2; for other calls at several b they can differ.
+    the call. On the fold scan's calls (32 log-spaced b on [rho/16, 16],
+    the top multiplied by 16 while phi <= 0 there, which takes it to 256
+    at rho 1e-20 and below, and the zoom's rescans of two cells), rows=2
+    and rows=3 give the same K0 and dK0/db bits, for rho from 1e-100 to 2;
+    for other calls at several b they can differ.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
     b_max = float(b.max())

@@ -74,6 +74,16 @@ GOLDEN_CASES = [
     ),
     ("critical.json", ["critical", "--format", "json"]),
     ("critical_meanfield.json", ["critical", "--model", "meanfield", "--format", "json"]),
+    # brackets where the slope scan disputes an end that the window test set
+    (
+        "critical_bracket.json",
+        ["critical", "--rho-lo", "0.08", "--rho-hi", "0.25", "--format", "json"],
+    ),
+    (
+        "critical_meanfield_bracket.json",
+        ["critical", "--model", "meanfield", "--rho-lo", "0.1", "--rho-hi", "0.2",
+         "--format", "json"],
+    ),
     (
         "phase_small.csv",
         ["phase", "--rho", "0.04,0.07,0.1", "--format", "csv"],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.special import zeta
 
-from lyaprec import numerics
+from lyaprec import numerics, variational
 from lyaprec.errors import AccuracyError, DomainError
 from lyaprec.numerics import (
     _boundary_kernels,
@@ -22,7 +22,7 @@ from lyaprec.numerics import (
     softplus,
     softplus_diff,
 )
-from lyaprec.variational import _FOLD_GRID, entropy_I
+from lyaprec.variational import entropy_I
 
 
 # (rho, b, K0, K1, dK0/db) from 50-digit mpmath quadrature of the u form,
@@ -164,12 +164,27 @@ def test_boundary_kernels_error_names_the_first_offending_b(monkeypatch, rows, i
         assert info.value.best_estimate == pytest.approx(0.90972, rel=1e-5)
 
 
-def test_fold_scan_rows_keep_the_bits_of_three_rows():
-    # on the fold-scan shape, K0 and dK0/db of rows=2 are those of rows=3
-    # bit for bit
+def test_fold_scan_rows_keep_the_bits_of_three_rows(monkeypatch):
+    # every kernel call of the fold scan asks for rows=2, whose K0 and
+    # dK0/db are those of rows=3 bit for bit: the first scan (top 16), the
+    # scan with its top pushed out (256 at tiny rho) and the zoom's rescans
+    calls = []
+
+    def recorded(b, rho, rows=3):
+        calls.append((np.array(b, dtype=float), rho, rows))
+        return _boundary_kernels(b, rho, rows=rows)
+
+    monkeypatch.setattr(variational, "_boundary_kernels", recorded)
     rng = np.random.default_rng(5)
-    for rho in 10.0 ** rng.uniform(-100.0, math.log10(2.0), 400):
-        b = rho / 16.0 * (16.0 * 256.0 / rho) ** _FOLD_GRID
+    # half over the whole range, half just under rho_c, where the scan zooms
+    rhos = np.concatenate((10.0 ** rng.uniform(-100.0, math.log10(2.0), 200),
+                           0.1232819777 * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, 200))))
+    for rho in rhos:
+        variational._folds(rho)
+    tops = np.array([b[-1] for b, _, _ in calls])
+    assert {rows for _, _, rows in calls} == {2}
+    assert np.sum(tops > 17.0) > 100 and np.sum(tops < 15.0) > 100
+    for b, rho, _ in calls:
         two, three = _boundary_kernels(b, rho, rows=2), _boundary_kernels(b, rho, rows=3)
         assert np.array_equal(two[0], three[0]) and np.array_equal(two[1], three[1])
 

@@ -172,6 +172,22 @@ def test_bracket_must_straddle():
     assert str(info.value) == str(plain.value)
 
 
+@pytest.mark.parametrize("bracket", [(0.1232, 0.12329), (0.123295, 0.1234)])
+def test_bracket_must_straddle_the_slope_crossing(bracket):
+    # at fd_step 0.2 the slope minimum crosses zero near 0.1232932: the
+    # first bracket straddles the fold scan's rho_c but not that crossing,
+    # so moving the trusted interval reaches its end and the plain check
+    def min_slope(rho):
+        lr = math.log(rho)
+        return phase._min_slope(phase._beta_level, rho, lr + 1e-6, lr + 10.0, 0.2)
+
+    with pytest.raises(DomainError) as plain:
+        _plain_bisection(min_slope, bracket)
+    with pytest.raises(DomainError) as info:
+        locate_critical_point(rho_bracket=bracket, fd_step=0.2)
+    assert str(info.value) == str(plain.value)
+
+
 @pytest.mark.parametrize("bracket", [(0.0, 0.3), (-0.1, 0.3), (0.05, -1.0)])
 def test_bracket_must_be_positive(bracket):
     with pytest.raises(DomainError, match="rho bracket must be positive"):
@@ -225,9 +241,8 @@ def test_endpoint_from_other_brackets(bracket, crit):
 
 @pytest.mark.parametrize("bracket", [(0.05, 0.3)] + OTHER_BRACKETS)
 def test_fold_scan_steps_match_plain_bisection(monkeypatch, bracket):
-    # the slope-scan bisection starts from brackets on the plain one's
-    # path, so every field of the endpoint is the plain bisection's, bit
-    # for bit
+    # the slope scan confirms the answers taken from the window test, so
+    # every field of the endpoint is the plain bisection's, bit for bit
     got, scans = _slope_scans(monkeypatch, locate_critical_point, rho_bracket=bracket)
     plain, plain_scans = _plain_endpoint(monkeypatch, rho_bracket=bracket)
     assert got == plain
@@ -237,7 +252,7 @@ def test_fold_scan_steps_match_plain_bisection(monkeypatch, bracket):
 @pytest.mark.parametrize("bracket", [
     b for b in [(0.05, 0.3)] + OTHER_BRACKETS if b[0] < math.exp(-2.0) < b[1]])
 def test_flat_profile_window_matches_plain_bisection(monkeypatch, bracket):
-    # the closed-form window test of mf_beta_level walks the same path
+    # the closed-form window test of mf_beta_level sets the trusted interval
     got, scans = _slope_scans(monkeypatch, mf_critical_point, rho_bracket=bracket)
     plain, plain_scans = _plain_endpoint(monkeypatch, rho_bracket=bracket, **MF_HOOKS)
     assert got == plain
@@ -248,7 +263,9 @@ def test_flat_profile_window_matches_plain_bisection(monkeypatch, bracket):
 @pytest.mark.parametrize("bracket", [(0.05, 0.3), (0.1232, 0.1234)])
 def test_fold_scan_matches_plain_bisection_at_other_steps(monkeypatch, bracket, fd_step):
     # the finite-difference crossing moves with fd_step, away from the
-    # fold scan's: the finder climbs the path to where they part
+    # fold scan's: the slope scan disputes an end of the final bracket,
+    # and the finder moves that side of its trusted interval past the
+    # crossing
     kwargs = dict(rho_bracket=bracket, fd_step=fd_step)
     got, scans = _slope_scans(monkeypatch, locate_critical_point, **kwargs)
     plain, plain_scans = _plain_endpoint(monkeypatch, **kwargs)
@@ -278,24 +295,50 @@ def test_fold_scan_leaves_few_slope_scans(monkeypatch):
 
 
 def test_flat_profile_window_leaves_few_slope_scans(monkeypatch):
-    # the plain bisection takes 30 slope scans
+    # the plain bisection takes 30 slope scans; the hook-spelled call, as
+    # the benchmark makes it, takes the same window test and as few
     scans, _ = _scan_counts(monkeypatch, mf_critical_point)
-    assert scans <= 8
+    assert scans <= 4
+    _, hooked = _slope_scans(monkeypatch, locate_critical_point, **MF_HOOKS)
+    assert hooked == scans
+
+
+# each configuration's slope scans under the recorded window-path walk
+# that the trusted interval replaced: the interval takes no more
+SCAN_CEILINGS = (
+    [(locate_critical_point, {}, 2), (mf_critical_point, {}, 8)]
+    + [(locate_critical_point, dict(rho_bracket=b), n)
+       for b, n in zip(OTHER_BRACKETS, [4, 4, 2, 7, 7, 2, 2])]
+    + [(locate_critical_point, dict(rho_bracket=b, fd_step=step), n)
+       for b, counts in [((0.05, 0.3), [2, 7, 12, 15, 18]),
+                         ((0.1232, 0.1234), [2, 10, 10, 14, 18])]
+       for step, n in zip([0.01, 0.03, 0.05, 0.1, 0.2], counts)]
+)
+
+
+@pytest.mark.parametrize("finder,kwargs,ceiling", SCAN_CEILINGS, ids=[
+    "-".join([f.__name__] + ["%s=%s" % (k, v) for k, v in kw.items()]).replace(" ", "")
+    for f, kw, _ in SCAN_CEILINGS])
+def test_slope_scans_stay_under_the_path_walk(monkeypatch, finder, kwargs, ceiling):
+    _, scans = _slope_scans(monkeypatch, finder, **kwargs)
+    assert scans <= ceiling
 
 
 @pytest.mark.parametrize("shift", [1e-5, -1e-5, 3e-7, -3e-7, 5e-8, -5e-8])
-def test_misplaced_fold_scan_climbs(monkeypatch, crit, shift):
-    # a fold scan whose crossing lies off the finite-difference one: the
+def test_misplaced_fold_scan_climbs(monkeypatch, crit, mf_crit, shift):
+    # a window test whose crossing lies off the finite-difference one: the
     # slope scan disputes an end of the final bracket, and the finder
-    # climbs the path to a bracket that straddles the crossing
+    # moves that side of its trusted interval past the crossing; crit and
+    # mf_crit, from the default bracket, are the plain bisection's endpoints
     fake_c = crit.rho_c * (1.0 + shift)
 
     def fake_folds(rho):
         return None, None, None, (np.array([[0, 1], [2, 3]]) if rho < fake_c else None)
 
     monkeypatch.setattr(phase, "_folds", fake_folds)
-    # crit, from the default bracket, is the plain bisection's endpoint
     assert locate_critical_point() == crit
+    monkeypatch.setattr(phase, "_mf_window", lambda rho: rho < math.exp(-2.0) * (1.0 + shift))
+    assert mf_critical_point() == mf_crit
 
 
 def test_traced_points_structure(mini_curve):
